@@ -4,7 +4,9 @@ Every verb is a thin shell around one library operation (or a fixed
 pipeline of them). Reports are deterministic JSON on standard out (or
 --out), human summaries go to standard error, and the exit code is 0 when
 all checks pass, 1 when a mathematical check fails (witnesses in the
-report), 2 on parse, validation, or budget errors.
+report), 2 on parse, validation, or budget errors, and 3 when one of the
+library's own invariants fails (InvariantViolated: a defect in finq, with
+the witness in the report).
 """
 
 import argparse
@@ -23,6 +25,7 @@ from .errors import (
     BudgetExceeded,
     CoincidenceFailed,
     CycleDetected,
+    InvariantViolated,
     NotADuality,
     NotALattice,
     NotANucleus,
@@ -370,6 +373,11 @@ def main(argv=None):
         _emit(args, envelope)
         print(f"finq {args.verb}: fail: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolated as exc:
+        envelope.update(status="error", error=_error_payload(exc))
+        _emit(args, envelope)
+        print(f"finq {args.verb}: internal error: {exc}", file=sys.stderr)
+        return 3
     envelope.update(status="pass" if ok else "fail", report=report)
     _emit(args, envelope)
     print(f"finq {args.verb}: {'pass' if ok else 'fail'}", file=sys.stderr)

@@ -17,6 +17,20 @@ class ValidationFailed(FinqError):
     """Input violates a structural contract (shape, range, declared laws)."""
 
 
+class InvariantViolated(FinqError):
+    """A fact the library derives from a theorem failed on actual tables.
+
+    This is a defect in the library, not in its input; the witness locates
+    the first disagreement.
+    """
+
+    def __init__(self, what, witness=None):
+        self.what = what
+        self.witness = witness
+        super().__init__(
+            f"internal invariant violated: {what} (witness: {witness})")
+
+
 class BudgetExceeded(FinqError):
     """A search-space or materialization budget was exceeded."""
 

@@ -293,9 +293,7 @@ def right_adjoint(f):
     """
     if not is_sup_preserving(f):
         raise NotSupPreserving(_sup_witness(f))
-    below = f.target.leq[f.image, :]
-    image = [_fold(f.source.join_table, f.source.bot,
-                   np.flatnonzero(below[:, y])) for y in range(f.target.n)]
+    image = _right_adjoint_batch(f.source, f.target, f.image[None, :])[0]
     if f.source == f.target:
         return EndoMap(f.source, image)
     return LatticeMap(f.target, f.source, image)
@@ -304,16 +302,30 @@ def right_adjoint(f):
 def left_adjoint(g):
     """The left adjoint of a meet-preserving map.
 
-    f(x) <= y iff x <= g(y), realized as f(x) = meet of {y | x <= g(y)}.
+    f(x) <= y iff x <= g(y), realized as f(x) = meet of {y | x <= g(y)}:
+    the right adjoint between the dual lattices.
     """
     if not is_meet_preserving(g):
         raise NotMeetPreserving(_meet_witness(g))
-    above = g.target.leq[:, g.image]
-    image = [_fold(g.source.meet_table, g.source.top,
-                   np.flatnonzero(above[x, :])) for x in range(g.target.n)]
+    image = _right_adjoint_batch(g.source.dual(), g.target.dual(),
+                                 g.image[None, :])[0]
     if g.source == g.target:
         return EndoMap(g.source, image)
     return LatticeMap(g.target, g.source, image)
+
+
+def _right_adjoint_batch(source, target, imgs):
+    """Right adjoints g(y) = join of {x | f(x) <= y} of the sup-preserving
+    maps source -> target in the rows of an (R, source.n) image array.
+
+    One pass over the source elements, each a step over all rows at once;
+    pass the dual lattices for left adjoints of meet-preserving maps.
+    """
+    out = np.full((len(imgs), target.n), source.bot, dtype=np.int64)
+    for x in range(source.n):
+        below = target.leq[imgs[:, x], :]
+        out = np.where(below, source.join_table[out, x], out)
+    return out
 
 
 def _sup_witness(f):
@@ -382,11 +394,16 @@ def m_lattice(n):
     if n < 0:
         raise ValidationFailed("M(n) needs n >= 0")
     size = n + 2
+    top = size - 1
     leq = np.eye(size, dtype=bool)
     leq[0, :] = True
-    leq[:, size - 1] = True
+    leq[:, top] = True
+    r = np.arange(size)
+    # comparable pairs join to the larger; two distinct atoms join to top
+    join = np.where(leq, r[None, :], np.where(leq.T, r[:, None], top))
+    meet = np.where(leq, r[:, None], np.where(leq.T, r[None, :], 0))
     labels = ["bot"] + [f"a{i}" for i in range(1, n + 1)] + ["top"]
-    return FiniteLattice.from_leq(leq, labels)
+    return FiniteLattice(size, leq, join, meet, 0, top, labels)
 
 
 def n5():

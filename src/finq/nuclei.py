@@ -119,9 +119,12 @@ class QuotientQuantale:
 def quotient_quantale(Q, j):
     """Restrict Q to the fixed points of the nucleus j.
 
-    Joins are j of the ambient join, meets are ambient, and the induced
-    multiplication is x *_j y = j(x * y). The projection j: Q -> Q_j is
-    checked to be a surjective quantale homomorphism.
+    The quotient lattice is built from the ambient tables, not rediscovered
+    from its order: the order is the ambient one, joins are j of the
+    ambient join, meets are ambient, bottom is j(bot) and top is the
+    ambient top. The induced multiplication is x *_j y = j(x * y). The
+    projection j: Q -> Q_j is checked to be a surjective quantale
+    homomorphism.
     """
     rep = is_nucleus(Q, j)
     if not rep:
@@ -140,11 +143,12 @@ def quotient_quantale(Q, j):
     labels = None
     if L.labels is not None:
         labels = [L.labels[x] for x in closed]
-    lat = FiniteLattice.from_leq(L.leq[np.ix_(sub, sub)], labels=labels)
-    # the least closed upper bound is j of the ambient join
-    assert np.array_equal(
-        sub[lat.join_table], img[L.join_table[np.ix_(sub, sub)]])
-    assert np.array_equal(sub[lat.meet_table], L.meet_table[np.ix_(sub, sub)])
+    # the least closed upper bound is j of the ambient join; closed
+    # elements are closed under meets, and top is closed
+    lat = FiniteLattice(len(closed), L.leq[np.ix_(sub, sub)],
+                        to_closed[img[L.join_table[np.ix_(sub, sub)]]],
+                        to_closed[L.meet_table[np.ix_(sub, sub)]],
+                        to_closed[img[L.bot]], to_closed[L.top], labels)
 
     mult_j = to_closed[img[Q.mult[np.ix_(sub, sub)]]]
     quot = Quantale(lat, mult_j)

@@ -87,7 +87,7 @@ class Quantale:
             for x in range(n):
                 acc = np.where(ok[x], jt[acc, x], acc)
             out[:, y] = acc
-        return out
+        return _frozen(out)
 
     def _diagonal_residuals(self):
         """Arrays (x\\x)_x and (x/x)_x without building the full tables."""

@@ -17,15 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotMonotone, NotTight, ValidationFailed
+from .errors import InvariantViolated, NotMonotone, NotTight, \
+    ValidationFailed
 from .lattice import (
     EndoMap,
     FiniteLattice,
+    _right_adjoint_batch,
     enumerate_sup_endomaps,
-    left_adjoint,
     right_adjoint,
 )
 from .quantale import FrobeniusStructure, Quantale, check_frobenius
+
+# entries of an (rows, N, n) intermediate built at once: N x N tables over a
+# carrier of N maps are filled in row blocks of at most this many entries
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _images(L, f):
@@ -40,26 +45,24 @@ def _images(L, f):
 
 
 def _raney_sup_batch(L, imgs):
-    """rans over the rows of an (N, n) image array."""
-    N = imgs.shape[0]
-    out = np.full((N, L.n), L.bot, dtype=np.int64)
+    """rans over the rows of an (..., n) image array."""
+    out = np.full(imgs.shape, L.bot, dtype=np.int64)
     jt = L.join_table
     for t in range(L.n):
         mask = ~L.leq[:, t]
         if mask.any():
-            out[:, mask] = jt[out[:, mask], imgs[:, t][:, None]]
+            out[..., mask] = jt[out[..., mask], imgs[..., t, None]]
     return out
 
 
 def _raney_inf_batch(L, imgs):
-    """rani over the rows of an (N, n) image array."""
-    N = imgs.shape[0]
-    out = np.full((N, L.n), L.top, dtype=np.int64)
+    """rani over the rows of an (..., n) image array."""
+    out = np.full(imgs.shape, L.top, dtype=np.int64)
     mt = L.meet_table
     for t in range(L.n):
         mask = ~L.leq[t, :]
         if mask.any():
-            out[:, mask] = mt[out[:, mask], imgs[:, t][:, None]]
+            out[..., mask] = mt[out[..., mask], imgs[..., t, None]]
     return out
 
 
@@ -131,7 +134,8 @@ def decompose_tight(f):
     """Write a tight map as the join of the generators c_y o a_x.
 
     Returns the pairs (g(t), t) for g = rani(f); the pointwise join of
-    c_{g(t)} o a_t over them reproduces f, which is asserted.
+    c_{g(t)} o a_t over them reproduces f, which is checked
+    (InvariantViolated if not).
     """
     L = f.lattice
     rd = tight_interior(f)
@@ -143,36 +147,102 @@ def decompose_tight(f):
     acc = np.full(L.n, L.bot, dtype=np.int64)
     for y, x in pairs:
         acc = L.join_table[acc, c_map(L, y).image[a_map(L, x).image]]
-    assert np.array_equal(acc, f.image)
+    bad = np.flatnonzero(acc != f.image)
+    if bad.size:
+        raise InvariantViolated("a tight map is the join of its generators",
+                                (int(bad[0]),))
     return pairs
 
 
 def meet_closure(f):
     """The least meet-preserving map above a monotone map.
 
-    Fixpoint repair: force top |-> top, add g(x) ^ g(y) into g(x ^ y), and
-    restore monotonicity, until stable. Each step is forced in any
-    meet-preserving majorant, so the fixpoint is the least one.
+    A one-row call of the batch kernel that also builds the bullet
+    quantale's joins and products.
     """
     L = f.lattice
     viol = L.leq & ~L.leq[np.ix_(f.image, f.image)]
     if viol.any():
         raise NotMonotone(tuple(int(v) for v in np.argwhere(viol)[0]))
-    n, jt, mt = L.n, L.join_table, L.meet_table
-    g = f.image.copy()
+    return EndoMap(L, _meet_closure_batch(L, f.image[None, :])[0])
+
+
+def _meet_closure_batch(L, imgs):
+    """meet_closure over the rows of an (..., n) array of monotone maps.
+
+    Fixpoint repair: force top |-> top, then per pass add g(x) ^ g(y) into
+    g(x ^ y) for the incomparable pairs (comparable ones hold for monotone
+    g) and restore monotonicity along the covers in a linear extension,
+    until a pass changes nothing. Each step is forced in any
+    meet-preserving majorant, so the fixpoint is the least one. Rows are
+    dropped from the pass as soon as they are stable.
+    """
+    n, jt, mt, leq = L.n, L.join_table, L.meet_table, L.leq
+    xs, ys = np.nonzero(np.triu(~(leq | leq.T)))
+    meets = [(int(x), int(y), int(mt[x, y])) for x, y in zip(xs, ys)]
+    # downset sizes grow strictly along the order: a linear extension
+    height = leq.sum(axis=0)
+    covers = sorted(L.covers, key=lambda c: height[c[1]])
+    g = imgs.reshape(-1, n).T.copy()
     g[L.top] = L.top
-    while True:
-        prev = g.copy()
-        for x in range(n):
-            for y in range(x, n):
-                z = mt[x, y]
-                g[z] = jt[g[z], mt[g[x], g[y]]]
-        for z in range(n):
-            for w in range(n):
-                if L.leq[w, z]:
-                    g[z] = jt[g[z], g[w]]
-        if np.array_equal(g, prev):
-            return EndoMap(L, g)
+    active = np.arange(g.shape[1])
+    while active.size:
+        h = g[:, active]
+        prev = h.copy()
+        for x, y, z in meets:
+            h[z] = jt[h[z], mt[h[x], h[y]]]
+        for w, z in covers:
+            h[z] = jt[h[z], h[w]]
+        g[:, active] = h
+        active = active[(h != prev).any(axis=0)]
+    return g.T.reshape(imgs.shape)
+
+
+class _RowIndex:
+    """Positions of the rows of a strictly lexsorted (N, n) image array.
+
+    A row's key is its entries as fixed-width big-endian unsigned integers,
+    read as one byte string, so byte order is row order for every n and a
+    batch of lookups is one binary search.
+    """
+
+    def __init__(self, rows):
+        n = rows.shape[1]
+        self._dtype = np.dtype(">u1" if n <= 1 << 8 else
+                               ">u2" if n <= 1 << 16 else ">u4")
+        self._keys = self._key(rows)
+        bad = np.flatnonzero(self._keys[1:] <= self._keys[:-1])
+        if bad.size:
+            raise InvariantViolated("carrier rows are strictly lexsorted",
+                                    (int(bad[0]),))
+
+    def _key(self, rows):
+        a = np.ascontiguousarray(rows, dtype=self._dtype)
+        return a.view(f"S{a.shape[-1] * a.itemsize}")[..., 0]
+
+    def find(self, rows, what):
+        """Indices of the rows of an (..., n) array, shaped (...)."""
+        keys = self._key(rows)
+        pos = np.minimum(np.searchsorted(self._keys, keys),
+                         len(self._keys) - 1)
+        if not (self._keys[pos] == keys).all():
+            raise ValidationFailed(f"{what} is not an element of the carrier")
+        return pos
+
+
+def _pair_table(A, B, fn):
+    """The (len(A), len(B)) table fn(A[block], B), where fn maps a block of
+    rows and all of B to the block's rows of the table. Blocks are sized so
+    that an intermediate of block x len(B) x n holds at most _BLOCK_ENTRIES
+    entries."""
+    step = max(1, _BLOCK_ENTRIES // B.size)
+    return np.concatenate([fn(A[i:i + step], B)
+                           for i in range(0, len(A), step)])
+
+
+def _pointwise_leq(L, imgs):
+    return _pair_table(imgs, imgs,
+                       lambda a, b: L.leq[a[:, None, :], b].all(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -189,11 +259,7 @@ class TightQuantale:
         return len(self.elements)
 
     def index_of(self, f):
-        img = _images(self.lattice, f)
-        idx = self._index.get(img.tobytes())
-        if idx is None:
-            raise ValidationFailed("map is not an element of the quantale")
-        return idx
+        return int(self._index.find(_images(self.lattice, f), "map"))
 
     def __eq__(self, other):
         return isinstance(other, TightQuantale) and \
@@ -203,49 +269,43 @@ class TightQuantale:
         return hash(self.quantale)
 
 
-def _index_table(imgs):
-    return {row.tobytes(): i for i, row in enumerate(imgs)}
-
-
-def _lookup(table, imgs, what):
-    flat = imgs.reshape(-1, imgs.shape[-1])
-    out = np.empty(flat.shape[0], dtype=np.int64)
-    for i, row in enumerate(flat):
-        idx = table.get(row.tobytes())
-        if idx is None:
-            raise ValidationFailed(f"{what} escaped the enumerated carrier")
-        out[i] = idx
-    return out.reshape(imgs.shape[:-1])
-
-
 def tight_quantale(L, max_candidates=10 ** 9):
     """Enumerate the tight endomaps of L and assemble their Girard quantale.
 
-    Elements are sorted by image array. Composition is the multiplication,
-    pointwise joins are the lattice joins, meets are the tight interior of
-    pointwise meets, and the negation is star. Laws are not re-verified
-    here; check_quantale and check_frobenius accept the result.
+    Elements are sorted by image array. Every table is read off the
+    enumerated images through one sorted row index: the order is pointwise,
+    joins are pointwise joins (which stay tight), meets are the tight
+    interior of pointwise meets, the multiplication is composition, and the
+    negation is star, rans of the batched right adjoints. Laws are not
+    re-verified here; check_quantale and check_frobenius accept the result.
     """
     sup_maps = enumerate_sup_endomaps(L, max_candidates=max_candidates)
     imgs = np.asarray([m.image for m in sup_maps], dtype=np.int64)
     tight_rows = _raney_sup_batch(L, _raney_inf_batch(L, imgs))
     keep = (tight_rows == imgs).all(axis=1)
     imgs = imgs[keep]
-    index = _index_table(imgs)
+    index = _RowIndex(imgs)
 
-    leq_t = L.leq[imgs[:, None, :], imgs[None, :, :]].all(axis=2)
-    lat = FiniteLattice.from_leq(leq_t)
-    # pointwise joins of tight maps stay tight, so they are the lattice joins
-    assert np.array_equal(
-        lat.join_table,
-        _lookup(index, L.join_table[imgs[:, None, :], imgs[None, :, :]],
-                "pointwise join"))
-
-    comp = _lookup(index, imgs[:, imgs], "composition")
+    jt, mt = L.join_table, L.meet_table
+    join = _pair_table(imgs, imgs, lambda a, b: index.find(
+        jt[a[:, None, :], b], "tight join"))
+    # rani turns pointwise meets into pointwise meets, so the tight
+    # interior rans(rani(f ^ g)) is rans(rani(f) ^ rani(g))
+    inner = _raney_inf_batch(L, imgs)
+    meet = _pair_table(inner, inner, lambda a, b: index.find(
+        _raney_sup_batch(L, mt[a[:, None, :], b]), "tight meet"))
+    # the least tight map is zero, the greatest is c_top o a_bot
+    bot = index.find(np.full(L.n, L.bot), "zero map")
+    top = index.find(np.where(np.arange(L.n) == L.bot, L.bot, L.top),
+                     "c_top o a_bot")
+    lat = FiniteLattice(len(imgs), _pointwise_leq(L, imgs), join, meet,
+                        bot, top)
+    comp = _pair_table(imgs, imgs,
+                       lambda a, b: index.find(a[:, b], "composition"))
     Q = Quantale(lat, comp)
 
-    radj = np.asarray([right_adjoint(EndoMap(L, row)).image for row in imgs])
-    star_idx = _lookup(index, _raney_sup_batch(L, radj), "star")
+    star_rows = _raney_sup_batch(L, _right_adjoint_batch(L, L, imgs))
+    star_idx = index.find(star_rows, "star")
     F = FrobeniusStructure(Q, EndoMap(lat, star_idx), EndoMap(lat, star_idx))
 
     elements = tuple(EndoMap(L, row) for row in imgs)
@@ -301,63 +361,71 @@ def tensor_map(L, y, x):
 def bullet_quantale(L, max_candidates=10 ** 9):
     """Assemble the bullet quantale g . f = meet_closure(rans(g) o f).
 
-    Verifies the quantale laws, the Serre Galois connection perp, that its
-    nucleus is the cotight closure, the quotient multiplication formula
-    rani(rans(g) o rans(f)), and that rans is an isomorphism from the
-    cotight quotient onto tight_quantale(L) transporting perp to star.
+    The carrier is the meet-preserving maps, i.e. the sup-preserving maps
+    of the dual lattice, indexed by one sorted row index. Its order and
+    meets are pointwise, joins are the meet closures of pointwise joins,
+    and products are batched meet closures; perp is rani of the batched
+    left adjoints. Verifies the quantale laws, the Serre Galois connection
+    perp, that its nucleus is the cotight closure, the quotient
+    multiplication formula rani(rans(g) o rans(f)), and that rans is an
+    isomorphism from the cotight quotient onto tight_quantale(L)
+    transporting perp to star; a failure of the last four is a library
+    defect and raises InvariantViolated.
     """
     from .nuclei import serre_gc_quotient
     from .quantale import check_quantale
 
-    dual_maps = enumerate_sup_endomaps(L.dual(),
-                                       max_candidates=max_candidates)
+    D = L.dual()
+    dual_maps = enumerate_sup_endomaps(D, max_candidates=max_candidates)
     imgs = np.asarray([m.image for m in dual_maps], dtype=np.int64)
-    N = imgs.shape[0]
-    index = _index_table(imgs)
+    N, n = imgs.shape
+    index = _RowIndex(imgs)
     elements = tuple(EndoMap(L, row) for row in imgs)
 
-    leq_h = L.leq[imgs[:, None, :], imgs[None, :, :]].all(axis=2)
-    lat = FiniteLattice.from_leq(leq_h)
-    # meets are pointwise; joins are the meet closure of the pointwise join
-    assert np.array_equal(
-        lat.meet_table,
-        _lookup(index, L.meet_table[imgs[:, None, :], imgs[None, :, :]],
-                "pointwise meet"))
+    jt, mt = L.join_table, L.meet_table
+    join = _pair_table(imgs, imgs, lambda a, b: index.find(
+        _meet_closure_batch(L, jt[a[:, None, :], b]), "bullet join"))
+    meet = _pair_table(imgs, imgs, lambda a, b: index.find(
+        mt[a[:, None, :], b], "bullet meet"))
+    # the least meet-preserving map sends all but top to bot
+    bot = index.find(np.where(np.arange(n) == L.top, L.top, L.bot),
+                     "least meet-preserving map")
+    top = index.find(np.full(n, L.top), "constant top")
+    lat = FiniteLattice(N, _pointwise_leq(L, imgs), join, meet, bot, top)
 
     rans_rows = _raney_sup_batch(L, imgs)
-    mult = np.empty((N, N), dtype=np.int64)
-    for i in range(N):
-        for j in range(N):
-            closed = meet_closure(EndoMap(L, rans_rows[i][imgs[j]]))
-            idx = index.get(closed.image.tobytes())
-            if idx is None:
-                raise ValidationFailed("bullet product escaped the carrier")
-            mult[i, j] = idx
+    mult = _pair_table(rans_rows, imgs, lambda a, b: index.find(
+        _meet_closure_batch(L, a[:, b]), "bullet product"))
     Q = check_quantale(lat, mult)
 
-    perp_rows = _raney_inf_batch(
-        L, np.asarray([left_adjoint(EndoMap(L, row)).image for row in imgs]))
-    perp_idx = _lookup(index, perp_rows, "perp")
+    perp_idx = index.find(
+        _raney_inf_batch(L, _right_adjoint_batch(D, D, imgs)), "perp")
     perp = EndoMap(lat, perp_idx)
     serre_report = check_frobenius(Q, perp_idx, perp_idx)
-    assert serre_report.serre_gc_valid
+    if not serre_report.serre_gc_valid:
+        raise InvariantViolated("perp is a Serre Galois connection",
+                                serre_report.witnesses)
 
     nuc, quot, Fq = serre_gc_quotient(Q, perp_idx, perp_idx)
-    ranD_idx = _lookup(index, _raney_inf_batch(L, rans_rows),
-                       "cotight closure")
-    assert np.array_equal(nuc.image, ranD_idx)
+    ranD_idx = index.find(_raney_inf_batch(L, rans_rows), "cotight closure")
+    bad = np.flatnonzero(nuc.image != ranD_idx)
+    if bad.size:
+        raise InvariantViolated("the Serre nucleus is the cotight closure",
+                                (int(bad[0]),))
 
     # on cotight maps the induced product is rani(rans(g) o rans(f))
     sub = np.asarray(quot.closed, dtype=np.int64)
-    for a, i in enumerate(sub):
-        for b, j in enumerate(sub):
-            direct = _raney_inf_batch(
-                L, rans_rows[i][rans_rows[j]][None, :])[0]
-            assert quot.closed[quot.quantale.mult[a, b]] == \
-                index[direct.tobytes()]
+    rs = rans_rows[sub]
+    direct = _pair_table(rs, rs, lambda a, b: index.find(
+        _raney_inf_batch(L, a[:, b]), "quotient product"))
+    bad = np.argwhere(direct != sub[quot.quantale.mult])
+    if bad.size:
+        raise InvariantViolated(
+            "the quotient product is rani(rans(g) o rans(f))",
+            tuple(int(v) for v in bad[0]))
 
     T = tight_quantale(L, max_candidates=max_candidates)
-    mapping = np.asarray([T.index_of(rans_rows[i]) for i in sub])
+    mapping = T._index.find(rs, "rans image")
     flags = {}
     flags["bijective"] = len(set(mapping.tolist())) == T.n == len(sub)
     qlat = quot.quantale.lattice
@@ -369,7 +437,10 @@ def bullet_quantale(L, max_candidates=10 ** 9):
     flags["negation"] = bool(np.array_equal(
         mapping[Fq.lneg.image], T.frobenius.lneg.image[mapping]))
     iso = IsoReport(mapping, flags)
-    assert iso.passed
+    if not iso.passed:
+        raise InvariantViolated(
+            "rans is an isomorphism onto the tight quantale",
+            [k for k, v in flags.items() if not v])
 
     return BulletStructure(L, elements, Q, perp, serre_report, quot, Fq,
                            T, iso)

@@ -5,6 +5,7 @@ envelope, the exit code, and the one-line stderr summary. Reports must be
 byte-identical across reruns.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -245,6 +246,25 @@ def test_bullet_verb(capsys):
     assert len(rep["cotight"]) == 44
     assert rep["serre"]["serre_gc_valid"]
     assert all(rep["iso"]["flags"].values())
+
+
+def test_invariant_violation_is_exit_3(capsys, monkeypatch):
+    real = finq.raney.check_frobenius
+
+    def broken(Q, l, r):
+        return dataclasses.replace(real(Q, l, r), commutes=False,
+                                   witnesses={"commutes": (0,)})
+
+    monkeypatch.setattr(finq.raney, "check_frobenius", broken)
+    code, out, err = run(capsys, "bullet", "--lattice", "M(2)")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "InvariantViolated"
+    assert doc["error"]["witness"] == {"commutes": [0]}
+    assert "internal error" in err
+    with pytest.raises(finq.InvariantViolated):
+        finq.bullet_quantale(finq.m_lattice(2))
 
 
 def test_mn_count_verb(capsys):

@@ -108,6 +108,13 @@ def test_residuals_trivial_all_top():
     assert (Q.right_residual_table == 4).all()
 
 
+def test_residual_tables_are_read_only():
+    Q = counterexample_3chain()
+    for table in (Q.left_residual_table, Q.right_residual_table):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
 def test_residuals_counterexample_frozen():
     Q = counterexample_3chain()
     # x\0 values: r(0) = r(1) = 2 and r(2) = 1
