@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotDistinctAtoms, NotSupPreserving, \
-    ValidationFailed
+from .errors import BudgetExceeded, InvariantViolated, NotDistinctAtoms, \
+    NotSupPreserving, ValidationFailed
 from .lattice import (
     EndoMap,
     FiniteLattice,
+    _sup_endomap_images,
     _sup_witness,
     enumerate_sup_endomaps,
     identity_map,
@@ -56,33 +57,13 @@ def tight_count_formula(n):
 def sup_endomap_images_mn(n, max_atoms=_DEFAULT_MAX_ATOMS):
     """Image rows of every sup-preserving endomap of M_n, sorted.
 
-    For n >= 2 the join-irreducibles are the atoms and any two distinct
-    atoms join to top, so a map is an atom-image tuple whose pairwise joins
-    all agree; that common value is the image of top. (n+2)^n candidates,
-    quadratic filter.
+    The generic enumeration of lattice._sup_endomap_images on m_lattice(n),
+    behind the max_atoms budget on the (n+2)^n atom assignments.
     """
     if n > max_atoms:
         raise BudgetExceeded((n + 2) ** n, (max_atoms + 2) ** max_atoms,
                              "atom assignments")
-    L = m_lattice(n)
-    if n < 2:
-        return np.asarray([m.image for m in enumerate_sup_endomaps(L)],
-                          dtype=np.int64)
-    size = n + 2
-    grids = np.meshgrid(*([np.arange(size)] * n), indexing="ij")
-    assigns = np.stack([g.ravel() for g in grids], axis=1)
-    jt = L.join_table
-    tops = jt[assigns[:, 0], assigns[:, 1]]
-    keep = np.ones(len(assigns), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            keep &= jt[assigns[:, i], assigns[:, j]] == tops
-    assigns, tops = assigns[keep], tops[keep]
-    imgs = np.empty((len(assigns), size), dtype=np.int64)
-    imgs[:, 0] = L.bot
-    imgs[:, 1:n + 1] = assigns
-    imgs[:, n + 1] = tops
-    return imgs[np.lexsort(imgs.T[::-1])]
+    return _sup_endomap_images(m_lattice(n))
 
 
 def tight_images_mn(n, max_atoms=_DEFAULT_MAX_ATOMS):
@@ -152,19 +133,22 @@ def count_tight_mn(n, enumerate=True, max_atoms=_DEFAULT_MAX_ATOMS):
         return MnTightReport(n, None, formula, None)
     L = m_lattice(n)
     rows = tight_images_mn(n, max_atoms)
-    by_class = {name: 0 for name in _CLASS_NAMES}
-    for row in rows:
-        by_class[_classify_tight(L, row)] += 1
-    assert by_class["others"] == 0
+    classes = [_classify_tight(L, row) for row in rows]
+    if "others" in classes:
+        raise InvariantViolated("every tight map of M_n is in a named family",
+                                rows[classes.index("others")].tolist())
     counted = len(rows)
-    assert counted == formula
+    if counted != formula:
+        raise InvariantViolated("the tight maps of M_n match the closed form",
+                                {"counted": counted, "formula": formula})
+    by_class = {name: classes.count(name) for name in _CLASS_NAMES}
     return MnTightReport(n, counted, formula, by_class)
 
 
 def tight_profile_mn(n, f):
     """Three independent characterizations of tightness on M_n.
 
-    Returns tight / image_distributive / atoms_in_image and asserts the
+    Returns tight / image_distributive / atoms_in_image and checks the
     equivalences: tight iff the image sublattice is distributive iff at
     most two atoms lie in the image.
     """
@@ -178,7 +162,10 @@ def tight_profile_mn(n, f):
     sub = FiniteLattice.from_leq(L.leq[np.ix_(members, members)])
     distributive = is_distributive(sub)
     atoms_in_image = sum(1 for v in members if 1 <= v <= n)
-    assert tight == distributive == (atoms_in_image <= 2)
+    if not tight == distributive == (atoms_in_image <= 2):
+        raise InvariantViolated(
+            "tight iff the image is distributive iff it has at most two atoms",
+            img.tolist())
     return {"tight": tight, "image_distributive": distributive,
             "atoms_in_image": atoms_in_image}
 
@@ -199,7 +186,10 @@ def f_gen(n, x1, y1, x2, y2):
     img[x1], img[x2] = y1, y2
     join = L.join_table[c_map(L, y2).image[a_map(L, x1).image],
                         c_map(L, y1).image[a_map(L, x2).image]]
-    assert (img == join).all()
+    bad = np.flatnonzero(img != join)
+    if bad.size:
+        raise InvariantViolated("f_gen is c_y2 o a_x1 v c_y1 o a_x2",
+                                int(bad[0]))
     return EndoMap(L, img)
 
 
@@ -250,7 +240,7 @@ def pentagon_diamond_check(L):
     """For the pentagon and the diamond, the tight maps are exactly the
     sup-preserving endomaps that are not order isomorphisms.
 
-    Asserts the set identity and the isomorphism counts: the pentagon has
+    Checks the set identity and the isomorphism counts: the pentagon has
     only the identity, the diamond all six atom permutations.
     """
     if L == m_lattice(3):
@@ -263,9 +253,13 @@ def pentagon_diamond_check(L):
     sup = enumerate_sup_endomaps(L)
     isos = {f for f in sup if is_order_isomorphism(f)}
     tight = {f for f in sup if is_tight(f)}
-    assert len(isos) == expected_isos
-    assert identity_map(L) in isos
-    assert tight == set(sup) - isos
+    if len(isos) != expected_isos:
+        raise InvariantViolated("order automorphism count", len(isos))
+    if identity_map(L) not in isos:
+        raise InvariantViolated("the identity is an order automorphism")
+    odd = sorted(f.image.tolist() for f in tight ^ (set(sup) - isos))
+    if odd:
+        raise InvariantViolated("tight maps are the non-isomorphisms", odd[0])
     return True
 
 

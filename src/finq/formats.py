@@ -55,13 +55,21 @@ def _require(d, keys, what):
             raise ParseError(f"{what} is missing the {key!r} field")
 
 
-def _int_matrix(rows, n, what, upper=None):
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.shape != (n, n):
-        raise ParseError(f"{what} must be an {n} x {n} table")
-    if upper is not None and (arr.min() < 0 or arr.max() >= upper):
+def _int_array(value, shape, what, upper):
+    """value as an int64 array of the given shape with entries in
+    [0, upper); floats, booleans, strings and ragged rows are rejected,
+    not converted."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise ParseError(f"{what} must have shape {shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParseError(f"{what} must hold integers only")
+    if arr.size and (arr.min() < 0 or arr.max() >= upper):
         raise ParseError(f"{what} contains an out-of-range element index")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def lattice_to_dict(L):
@@ -74,15 +82,6 @@ def lattice_to_dict(L):
 def lattice_from_dict(d):
     _require(d, ("n", "covers"), "lattice")
     return build_lattice(d["covers"], d["n"], d.get("labels"))
-
-
-def _image_list(value, n, what):
-    arr = np.asarray(value, dtype=np.int64)
-    if arr.shape != (n,):
-        raise ParseError(f"{what} must list exactly {n} element indices")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ParseError(f"{what} contains an out-of-range element index")
-    return arr
 
 
 def quantale_to_dict(Q, lneg=None, rneg=None):
@@ -98,15 +97,15 @@ def quantale_from_dict(d):
     """Returns (lattice, mult, lneg, rneg); laws are not checked here."""
     _require(d, ("lattice", "mult"), "quantale")
     L = lattice_from_dict(d["lattice"])
-    mult = _int_matrix(d["mult"], L.n, "multiplication table", upper=L.n)
-    lneg = _image_list(d["lneg"], L.n, "lneg") if "lneg" in d else None
-    rneg = _image_list(d["rneg"], L.n, "rneg") if "rneg" in d else None
+    mult = _int_array(d["mult"], (L.n, L.n), "multiplication table", L.n)
+    lneg = _int_array(d["lneg"], (L.n,), "lneg", L.n) if "lneg" in d else None
+    rneg = _int_array(d["rneg"], (L.n,), "rneg", L.n) if "rneg" in d else None
     return L, mult, lneg, rneg
 
 
 def endomap_from_dict(d, L):
     _require(d, ("image",), "endomap")
-    return EndoMap(L, _image_list(d["image"], L.n, "endomap image"))
+    return EndoMap(L, _int_array(d["image"], (L.n,), "endomap image", L.n))
 
 
 def endomap_to_dict(f):
@@ -116,7 +115,7 @@ def endomap_to_dict(f):
 def semigroup_from_dict(d):
     _require(d, ("n", "op"), "semigroup")
     n = int(d["n"])
-    op = _int_matrix(d["op"], n, "semigroup operation", upper=n)
+    op = _int_array(d["op"], (n, n), "semigroup operation", n)
     return FiniteSemigroup(n, op, tuple(d["labels"]) if "labels" in d
                            else None)
 

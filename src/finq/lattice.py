@@ -7,7 +7,6 @@ complete, so arbitrary joins and meets are folds of the binary tables.
 """
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, reduce
 
 import numpy as np
@@ -154,15 +153,23 @@ def build_lattice(covers, n, labels=None):
     the covers are cyclic, the poset is unbounded, or some pair lacks a least
     upper or greatest lower bound.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0:
+        raise ValidationFailed("element count must be a positive integer")
     n = int(n)
-    if n <= 0:
-        raise ValidationFailed("element count must be positive")
+    try:
+        pairs = np.asarray(covers)
+    except ValueError:
+        raise ValidationFailed("covers must be pairs of element indices")
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2
+                       or pairs.dtype.kind not in "iu"):
+        raise ValidationFailed("covers must be pairs of element indices")
+    pairs = pairs.reshape(-1, 2).astype(np.int64)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        x, y = pairs[bad[0]]
+        raise ValidationFailed(f"cover ({x}, {y}) out of range for n={n}")
     adj = np.zeros((n, n), dtype=bool)
-    for pair in covers:
-        x, y = int(pair[0]), int(pair[1])
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValidationFailed(f"cover ({x}, {y}) out of range for n={n}")
-        adj[x, y] = True
+    adj[pairs[:, 0], pairs[:, 1]] = True
     closure = adj.copy()
     for _ in range(n):
         nxt = closure | ((closure.astype(np.int64) @ adj) > 0)
@@ -440,10 +447,14 @@ def standard_lattice(spec):
         raise ValidationFailed(f"cannot parse lattice expression {spec!r}")
     body = rest[:-1]
     head = head.strip()
-    if head in ("chain", "boolean"):
-        return {"chain": chain, "boolean": boolean}[head](int(body))
-    if head in ("M", "m"):
-        return m_lattice(int(body))
+    if head in ("chain", "boolean", "M", "m"):
+        try:
+            k = int(body)
+        except ValueError:
+            raise ValidationFailed(
+                f"{head}(...) needs an integer argument, got {body!r}")
+        return {"chain": chain, "boolean": boolean,
+                "M": m_lattice, "m": m_lattice}[head](k)
     if head == "dual":
         return standard_lattice(body).dual()
     if head == "product":
@@ -464,77 +475,52 @@ def standard_lattice(spec):
 def enumerate_sup_endomaps(L, max_candidates=10**9):
     """All sup-preserving endomaps of L, each exactly once, sorted by image.
 
-    Assigns images to the join-irreducible elements, extends by
-    f(x) = join of {f(j) | j irreducible, j <= x}, and keeps an extension iff
-    it preserves binary joins. Monotone assignments on the irreducibles are
-    exactly the restrictions of sup-preserving maps, so nothing is missed and
-    nothing repeats.
+    A sup-preserving map is f(x) = join of {f(j) | j irreducible, j <= x}
+    for a monotone assignment on the join-irreducibles that preserves binary
+    joins; see _sup_endomap_images for how those are grown. The budget is
+    the n^|J| bound on assignments, checked before anything is allocated.
     """
     return [EndoMap(L, row) for row in _sup_endomap_images(L, max_candidates)]
 
 
 def _sup_endomap_images(L, max_candidates=10**9):
+    """Image rows of every sup-preserving endomap of L, lexsorted.
+
+    Assigns the join-irreducibles one at a time in a linear extension. Each
+    row of F holds, at every x, the join of the images assigned so far to
+    irreducibles below x. The next irreducible j branches a row on every
+    v >= F(j), the join of the images below j, so the rows are exactly the
+    monotone assignments and none repeats. A row is dropped once some
+    incomparable pair x, y whose irreducibles are all assigned has
+    F(x v y) not below F(x) v F(y): F(x) and F(y) are final and F(x v y)
+    only grows, so this is sound early and binary-join preservation at the
+    end. No stage holds more than n^|J| rows.
+    """
     irr = L.join_irreducibles
     estimate = L.n ** len(irr)
     if estimate > max_candidates:
         raise BudgetExceeded(estimate, max_candidates)
-    if estimate <= 2 * 10**6:
-        assigns = _assignments_vectorized(L, irr)
-    else:
-        assigns = np.array(sorted(_assignments_backtrack(L, irr)),
-                           dtype=np.int64)
-    imgs = _extend_assignments(L, irr, assigns)
-    keep = _preserves_binary_joins(L, imgs)
-    imgs = imgs[keep]
-    order = np.lexsort(imgs.T[::-1])
-    return imgs[order]
-
-
-def _assignments_vectorized(L, irr):
-    k = len(irr)
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(L.n)] * k), indexing="ij")
-    assigns = np.stack([g.ravel() for g in grids], axis=1)
-    keep = np.ones(len(assigns), dtype=bool)
-    for i, j in itertools.permutations(range(k), 2):
-        if L.leq[irr[i], irr[j]]:
-            keep &= L.leq[assigns[:, i], assigns[:, j]]
-    return assigns[keep]
-
-
-def _assignments_backtrack(L, irr):
-    k = len(irr)
-    assign = [0] * k
-
-    def rec(pos):
-        if pos == k:
-            yield tuple(assign)
-            return
-        for v in range(L.n):
-            if all(L.leq[assign[i], v]
-                   for i in range(pos) if L.leq[irr[i], irr[pos]]):
-                assign[pos] = v
-                yield from rec(pos + 1)
-
-    yield from rec(0)
-
-
-def _extend_assignments(L, irr, assigns):
-    imgs = np.full((len(assigns), L.n), L.bot, dtype=np.int64)
-    for x in range(L.n):
-        acc = np.full(len(assigns), L.bot, dtype=np.int64)
-        for i, j in enumerate(irr):
-            if L.leq[j, x]:
-                acc = L.join_table[acc, assigns[:, i]]
-        imgs[:, x] = acc
-    return imgs
-
-
-def _preserves_binary_joins(L, imgs):
-    keep = np.ones(len(imgs), dtype=bool)
-    for x in range(L.n):
-        for y in range(x + 1, L.n):
-            keep &= (imgs[:, L.join_table[x, y]]
-                     == L.join_table[imgs[:, x], imgs[:, y]])
-    return keep
+    n, leq, jt = L.n, L.leq, L.join_table
+    # downset sizes grow strictly along the order: a linear extension
+    height = leq.sum(axis=0)
+    irr = sorted(irr, key=lambda j: height[j])
+    # the step after which every irreducible below x is assigned
+    ready = np.full(n, -1)
+    for step, j in enumerate(irr):
+        ready[leq[j]] = step
+    xs, ys = np.nonzero(np.triu(~(leq | leq.T)))
+    pairs = [(int(x), int(y), int(jt[x, y]), max(ready[x], ready[y]))
+             for x, y in zip(xs, ys)]
+    F = np.full((1, n), L.bot, dtype=np.int64)
+    for step, j in enumerate(irr):
+        rows, vals = np.nonzero(leq[F[:, j]])
+        F = F[rows]
+        up = leq[j]
+        F[:, up] = jt[F[:, up], vals[:, None]]
+        # a pair needs a look when it just became ready or F(x v y) grew
+        keep = np.ones(len(F), dtype=bool)
+        for x, y, xy, r in pairs:
+            if r <= step and up[xy]:
+                keep &= leq[F[:, xy], jt[F[:, x], F[:, y]]]
+        F = F[keep]
+    return F[np.lexsort(F.T[::-1])]

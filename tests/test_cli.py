@@ -70,6 +70,33 @@ def test_missing_field_is_exit_2(capsys, tmp_path):
     assert "report" not in doc
 
 
+@pytest.mark.parametrize("spec", ["M(x)", "chain(2.5)", "boolean()"])
+def test_non_integer_lattice_argument_is_exit_2(capsys, spec):
+    code, out, err = run(capsys, "tight-quantale", "--lattice", spec)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "ValidationFailed"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("quantale, error", [
+    ({"lattice": {"n": 2, "covers": [[0, 1]]}, "mult": [[0, 0], [0, 1.7]]},
+     "ParseError"),
+    ({"lattice": {"n": 2, "covers": [[0, 1]]}, "mult": [[0, 0], [0]]},
+     "ParseError"),
+    ({"lattice": {"n": 2, "covers": [[0]]}, "mult": [[0, 0], [0, 1]]},
+     "ValidationFailed"),
+    ({"lattice": {"n": 2.5, "covers": [[0, 1]]}, "mult": [[0, 0], [0, 1]]},
+     "ValidationFailed"),
+], ids=["float-entry", "ragged-table", "short-cover", "float-size"])
+def test_malformed_quantale_file_is_exit_2(capsys, tmp_path, quantale, error):
+    path = write(tmp_path, "bad.json", quantale)
+    code, out, err = run(capsys, "check-quantale", "--quantale", path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+    assert "Traceback" not in err
+
+
 def test_check_quantale_and_unit(capsys, chain3_tight):
     code, doc = run_json(capsys, "check-quantale", "--quantale",
                          chain3_tight)
@@ -265,6 +292,18 @@ def test_invariant_violation_is_exit_3(capsys, monkeypatch):
     assert "internal error" in err
     with pytest.raises(finq.InvariantViolated):
         finq.bullet_quantale(finq.m_lattice(2))
+
+
+def test_mn_count_mismatch_is_exit_3(capsys, monkeypatch):
+    real = finq.diamonds.tight_images_mn
+    monkeypatch.setattr(finq.diamonds, "tight_images_mn",
+                        lambda n, max_atoms: real(n, max_atoms)[1:])
+    code, doc = run_json(capsys, "mn-count", "--n", "3")
+    assert code == 3
+    assert doc["error"]["type"] == "InvariantViolated"
+    assert doc["error"]["witness"] == {"counted": 43, "formula": 44}
+    with pytest.raises(finq.InvariantViolated):
+        finq.count_tight_mn(3)
 
 
 def test_mn_count_verb(capsys):

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from finq.lattice import (
     right_adjoint,
     standard_lattice,
 )
+from finq.lattice import _sup_endomap_images
 
 
 def test_build_m3_from_covers(m3):
@@ -195,6 +197,24 @@ def test_enumerate_matches_bruteforce(small_lattices):
         assert sorted(got) == sorted(expected)
         assert got == sorted(got)
         assert len(set(got)) == len(got)
+
+
+# M(n): 1 + n + n(n+1) + sum over m of C(n,m) P(n,m), by the image of top:
+# bot (the zero map); an atom c, with at most one atom sent to bot and the
+# rest to c; top, with one atom sent to bot and the rest to top, or m atoms
+# sent injectively to atoms and the rest to top
+@pytest.mark.parametrize("lattice, count", [
+    *[(chain(k), comb(2 * k - 2, k - 1)) for k in range(1, 9)],
+    *[(boolean(k), 2 ** (k * k)) for k in range(4)],
+    *[(m_lattice(n), c) for n, c in
+      enumerate([2, 6, 16, 50, 234, 1582, 13376, 130986])],
+], ids=[*[f"chain({k})" for k in range(1, 9)],
+        *[f"boolean({k})" for k in range(4)],
+        *[f"M({n})" for n in range(8)]])
+def test_enumerate_counts_closed_form(lattice, count):
+    imgs = _sup_endomap_images(lattice)
+    assert len(imgs) == count
+    assert len(np.unique(imgs, axis=0)) == count
 
 
 def test_enumerate_budget(m3):

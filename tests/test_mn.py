@@ -88,6 +88,10 @@ def test_count_class_sizes_follow_closed_forms():
         assert report.by_class["others"] == 0
 
 
+def test_count_m7_reaches_the_closed_form():
+    assert count_tight_mn(7, max_atoms=7).counted == 996
+
+
 def test_count_without_enumeration():
     report = count_tight_mn(9, enumerate=False)
     assert report == MnTightReport(9, None, tight_count_formula(9), None)
