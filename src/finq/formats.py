@@ -58,7 +58,8 @@ def _require(d, keys, what):
 def _int_array(value, shape, what, upper):
     """value as an int64 array of the given shape with entries in
     [0, upper); floats, booleans, strings and ragged rows are rejected,
-    not converted."""
+    not converted. numpy reads a boolean among integers as 0 or 1, so the
+    entries of an integer table are scanned for booleans once."""
     try:
         arr = np.asarray(value)
     except ValueError:
@@ -66,6 +67,10 @@ def _int_array(value, shape, what, upper):
     if arr is None or arr.shape != shape:
         raise ParseError(f"{what} must have shape {shape}")
     if arr.size and arr.dtype.kind not in "iu":
+        raise ParseError(f"{what} must hold integers only")
+    rows = [value] if arr.ndim == 1 else value
+    if not isinstance(value, np.ndarray) and any(
+            isinstance(v, bool) for row in rows for v in row):
         raise ParseError(f"{what} must hold integers only")
     if arr.size and (arr.min() < 0 or arr.max() >= upper):
         raise ParseError(f"{what} contains an out-of-range element index")
@@ -114,7 +119,9 @@ def endomap_to_dict(f):
 
 def semigroup_from_dict(d):
     _require(d, ("n", "op"), "semigroup")
-    n = int(d["n"])
+    n = d["n"]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationFailed("semigroup size must be an integer")
     op = _int_array(d["op"], (n, n), "semigroup operation", n)
     return FiniteSemigroup(n, op, tuple(d["labels"]) if "labels" in d
                            else None)

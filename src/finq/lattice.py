@@ -123,15 +123,20 @@ class FiniteLattice:
 
     @cached_property
     def join_irreducibles(self):
-        """Elements with exactly one lower cover.
+        """Elements j != bot that are not the join of the elements strictly
+        below them (equivalently, with exactly one lower cover).
 
         Every element is the join of the irreducibles below it, which is what
-        drives sup-endomap enumeration.
+        drives sup-endomap enumeration and the quantale law checks. One fold
+        over the elements, each step over all of them at once.
         """
-        lower = np.zeros(self.n, dtype=np.int64)
-        for x, y in self.covers:
-            lower[y] += 1
-        return [int(j) for j in np.flatnonzero(lower == 1)]
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        below = np.full(self.n, self.bot, dtype=np.int64)
+        for x in range(self.n):
+            below = np.where(strict[x], self.join_table[below, x], below)
+        ar = np.arange(self.n)
+        irreducible = (below != ar) & (ar != self.bot)
+        return [int(j) for j in np.flatnonzero(irreducible)]
 
     @cached_property
     def atoms(self):

@@ -23,7 +23,7 @@ from .errors import (
     NotWeaklySymmetric,
     ValidationFailed,
 )
-from .lattice import EndoMap, FiniteLattice, boolean, join_of
+from .lattice import EndoMap, FiniteLattice, boolean
 from .quantale import FrobeniusStructure, Quantale, check_frobenius
 
 
@@ -425,6 +425,19 @@ def phase_quantale(S, R, max_elements=20):
     return quot, F
 
 
+def _disjoint_rows(a, b):
+    """[i, k] is True when the boolean rows a[i] and b[k] share no True
+    entry; one packed-bit step per row of a."""
+    pa, pb = np.packbits(a, axis=1), np.packbits(b, axis=1)
+    return np.array([~(row & pb).any(axis=1) for row in pa])
+
+
+def _bitmasks(rows):
+    """Each boolean row as an int whose bit u is the row's entry u."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 @dataclass
 class RepresentationReport:
     """Outcome of rebuilding a Frobenius quantale from its phase relation.
@@ -484,19 +497,17 @@ def represent_frobenius(Q, F):
     wit = None if ok else tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
     record("associative_relation", ok, wit)
 
-    weights = [1 << u for u in range(n)]
-    down = [int(sum(w for u, w in enumerate(weights) if leq[u, x]))
-            for x in range(n)]
-    rrow = [int(sum(w for y, w in enumerate(weights) if Rbool[x, y]))
-            for x in range(n)]
+    # downsets and relation rows as bitmasks: bit u of down[x] is u <= x
+    down = _bitmasks(leq.T)
+    rrow = _bitmasks(Rbool)
     full = (1 << n) - 1
 
     # r({x}) is the principal downset of rneg(x): the set-level form of the
     # Galois-connection law x <= lneg(u) iff u <= rneg(x)
-    ok_r = all(rrow[x] == down[r_arr[x]] for x in range(n))
+    ok_r = bool((Rbool == leq[:, r_arr].T).all())
     record("r_singletons_principal", ok_r)
 
-    family = {full} | {rrow[x] for x in range(n)}
+    family = {full} | set(rrow)
     frontier = list(family)
     while frontier:
         a = frontier.pop()
@@ -510,56 +521,43 @@ def represent_frobenius(Q, F):
 
     # dual weak-symmetry condition: every l-image of a singleton lies in
     # the closure family generated by the r-images
-    ok_l = all(down[l_arr[y]] in family for y in range(n))
+    ok_l = all(down[y] in family for y in l_arr)
     record("l_singletons_r_closed", ok_l)
     record("weakly_symmetric", ok_r and ok_l)
 
-    mult_ok, mult_wit = True, None
-    for x in range(n):
-        dx = np.flatnonzero(leq[:, x])
-        for y in range(n):
-            dy = np.flatnonzero(leq[:, y])
-            prod = np.unique(Q.mult[np.ix_(dx, dy)])
-            if join_of(Q.lattice, prod) != int(Q.mult[x, y]):
-                mult_ok, mult_wit = False, (x, y)
-                break
-        if not mult_ok:
-            break
-    record("mult_transport", mult_ok, mult_wit)
-
-    def set_l(mask):
-        out = full
-        for y in range(n):
-            if mask >> y & 1:
-                out &= int(sum(w for u, w in enumerate(weights)
-                               if Rbool[u, y]))
-        return out
-
-    def set_r(mask):
-        out = full
-        for z in range(n):
-            if mask >> z & 1:
-                out &= rrow[z]
-        return out
-
-    neg_ok = all(set_l(down[x]) == down[l_arr[x]] and
-                 set_r(down[x]) == down[r_arr[x]] for x in range(n))
-    record("negation_transport", neg_ok)
-
+    # join of {a*b | a <= x, b <= y}, folded over b and then over a
     jt, mt = Q.lattice.join_table, Q.lattice.meet_table
-    join_ok, meet_ok = True, True
-    for x in range(n):
-        for y in range(n):
-            union = down[x] | down[y]
-            if set_l(set_r(union)) != down[jt[x, y]]:
-                join_ok = False
-            if down[x] & down[y] != down[mt[x, y]]:
-                meet_ok = False
-    record("join_transport", join_ok)
-    record("meet_transport", meet_ok)
+    part = np.full((n, n), Q.lattice.bot, dtype=np.int64)
+    for b in range(n):
+        np.copyto(part, jt[part, Q.mult[:, b, None]], where=leq[None, b, :])
+    gen = np.full((n, n), Q.lattice.bot, dtype=np.int64)
+    for a in range(n):
+        np.copyto(gen, jt[gen, part[None, a, :]], where=leq[a, :, None])
+    bad = np.argwhere(gen != Q.mult)
+    record("mult_transport", not bad.size,
+           tuple(int(v) for v in bad[0]) if bad.size else None)
 
-    round_ok = all(
-        join_of(Q.lattice, [u for u in range(n) if down[x] >> u & 1]) == x
-        for x in range(n))
-    record("round_trip", round_ok)
+    # set_l(Y) = {u | u R y for all y in Y} and set_r(Z) = {w | z R w for
+    # all z in Z} on downsets: u is in when no member of Y is outside R(u, .)
+    set_l_down = _disjoint_rows(leq.T, ~Rbool)
+    set_r_down = _disjoint_rows(leq.T, ~Rbool.T)
+    record("negation_transport",
+           (set_l_down == leq[:, l_arr].T).all()
+           and (set_r_down == leq[:, r_arr].T).all())
+
+    # set_r(down x | down y) = set_r(down x) & set_r(down y), which is
+    # set_r(down(x v y)) in a lattice: the closure of the union is the
+    # closure of one downset, and every element is some x v y
+    closure = _disjoint_rows(set_r_down, ~Rbool)
+    record("join_transport", (closure == leq.T).all())
+    # down x & down y is the downset of x ^ y, on packed rows
+    packed = np.packbits(leq.T, axis=1)
+    record("meet_transport", all(
+        np.array_equal(packed[x] & packed, packed[mt[x]]) for x in range(n)))
+
+    # the join of each downset, folded over its members
+    acc = np.full(n, Q.lattice.bot, dtype=np.int64)
+    for u in range(n):
+        acc = np.where(leq[u], jt[acc, u], acc)
+    record("round_trip", (acc == np.arange(n)).all())
     return RepresentationReport(flags, witnesses)

@@ -141,3 +141,55 @@ def powerset_residuals_bruteforce(op, n, X, Y):
 
 def random_images(rng, n, count):
     return np.asarray(rng.integers(0, n, size=(count, n)))
+
+
+def first_law_violation(L, mult):
+    """The first failed quantale law as (error type, witness), or None.
+
+    The full lexicographic scan: associativity over every triple, then left
+    and right distributivity over every binary join, then bottom absorption
+    on the left and on the right.
+    """
+    jt, n = L.join_table, L.n
+    for x in range(n):
+        left = mult[mult[x, :], :]
+        right = mult[x, mult]
+        if not np.array_equal(left, right):
+            y, z = map(int, np.argwhere(left != right)[0])
+            return "NotAssociative", (x, y, z)
+    for side, m in (("left", mult), ("right", mult.T)):
+        for x in range(n):
+            row = m[x, :]
+            lhs = m[x, jt]
+            rhs = jt[row[:, None], row[None, :]]
+            if not np.array_equal(lhs, rhs):
+                y, z = map(int, np.argwhere(lhs != rhs)[0])
+                return "NotDistributive", (side, x, y, z)
+    for side, row in (("left", mult[L.bot, :]), ("right", mult[:, L.bot])):
+        bad = np.flatnonzero(row != L.bot)
+        if bad.size:
+            return "BottomNotAbsorbed", (int(bad[0]), side)
+    return None
+
+
+def shift_relation_scan(Q, l, r):
+    """x*z <= l(y) iff z*y <= r(x), scanned row by row over x; returns the
+    first failing (x, z, y) or None."""
+    leq = Q.lattice.leq
+    l, r = np.asarray(l), np.asarray(r)
+    for x in range(Q.n):
+        lhs = leq[Q.mult[x, :][:, None], l[None, :]]
+        rhs = leq[Q.mult, r[x]]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            z, y = map(int, bad[0])
+            return (x, z, y)
+    return None
+
+
+def join_irreducibles_by_covers(L):
+    """Elements with exactly one lower cover."""
+    lower = [0] * L.n
+    for _, y in L.covers:
+        lower[y] += 1
+    return [y for y in range(L.n) if lower[y] == 1]

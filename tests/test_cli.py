@@ -88,10 +88,31 @@ def test_non_integer_lattice_argument_is_exit_2(capsys, spec):
      "ValidationFailed"),
     ({"lattice": {"n": 2.5, "covers": [[0, 1]]}, "mult": [[0, 0], [0, 1]]},
      "ValidationFailed"),
-], ids=["float-entry", "ragged-table", "short-cover", "float-size"])
+    ({"lattice": {"n": 2, "covers": [[0, 1]]}, "mult": [[0, 0], [0, True]]},
+     "ParseError"),
+    ({"lattice": {"n": 2, "covers": [[0, 1]]}, "mult": [[0, 0], [0, 1]],
+      "lneg": [1, False]}, "ParseError"),
+], ids=["float-entry", "ragged-table", "short-cover", "float-size",
+        "boolean-entry", "boolean-negation"])
 def test_malformed_quantale_file_is_exit_2(capsys, tmp_path, quantale, error):
     path = write(tmp_path, "bad.json", quantale)
     code, out, err = run(capsys, "check-quantale", "--quantale", path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("semigroup, error", [
+    ({"n": 2.5, "op": [[0, 1], [1, 0]]}, "ValidationFailed"),
+    ({"n": 2, "op": [[0, 1], [1, False]]}, "ParseError"),
+], ids=["float-size", "boolean-entry"])
+def test_malformed_semigroup_file_is_exit_2(capsys, tmp_path, semigroup,
+                                            error):
+    sgp = write(tmp_path, "sgp.json", semigroup)
+    rel = write(tmp_path, "eq.json",
+                {"rel": [[True, False], [False, True]]})
+    code, out, err = run(capsys, "phase", "--semigroup", sgp,
+                         "--relation", rel)
     assert code == 2
     assert json.loads(out)["error"]["type"] == error
     assert "Traceback" not in err

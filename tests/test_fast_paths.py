@@ -1,0 +1,145 @@
+"""The join-irreducible paths of the law and residual layer against the
+full scans and brute-force definitions in oracles.py.
+
+check_quantale accepts through the join-irreducibles and rescans only on
+failure; the residual tables fold over the irreducibles; check_frobenius
+reads the shift relation off the Serre identity. Each must give the same
+outcome, error type and first witness as the full definition.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import oracles
+import finq
+from finq.errors import (
+    BottomNotAbsorbed,
+    InvariantViolated,
+    NotAssociative,
+    NotDistributive,
+)
+from finq.lattice import standard_lattice
+from finq.quantale import check_frobenius, check_quantale, chu
+from finq.raney import tight_quantale
+
+CARRIER_SPECS = ("M(2)", "M(3)", "N5", "product(chain(2),chain(2))")
+
+
+@pytest.fixture(scope="module")
+def carriers():
+    return {s: tight_quantale(standard_lattice(s)) for s in CARRIER_SPECS}
+
+
+def outcome(L, mult):
+    """check_quantale's result in the oracle's (type, witness) form."""
+    try:
+        check_quantale(L, mult)
+    except NotAssociative as e:
+        return "NotAssociative", (e.x, e.y, e.z)
+    except NotDistributive as e:
+        return "NotDistributive", (e.side, e.x, e.y, e.z)
+    except BottomNotAbsorbed as e:
+        return "BottomNotAbsorbed", (e.x, e.side)
+    return None
+
+
+@pytest.mark.parametrize("spec", CARRIER_SPECS)
+def test_check_quantale_matches_full_scan(carriers, spec):
+    Q = carriers[spec].quantale
+    L, n = Q.lattice, Q.n
+    assert outcome(L, Q.mult) is None
+    rng = np.random.default_rng([4, n])
+    failed = 0
+    for _ in range(40):
+        mult = Q.mult.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            x, y = rng.integers(0, n, size=2)
+            mult[x, y] = rng.integers(0, n)
+        expected = oracles.first_law_violation(L, mult)
+        assert outcome(L, mult) == expected
+        failed += expected is not None
+    assert failed > 20
+
+
+def test_check_quantale_failures_of_every_kind():
+    """Every one-entry change of three tables on the 3-chain (meet, zero,
+    join): all three error types and some passes are reached."""
+    L = finq.chain(3)
+    seen = set()
+    for base in (L.meet_table, np.zeros((3, 3), dtype=np.int64),
+                 L.join_table):
+        for x, y, v in np.ndindex(3, 3, 3):
+            mult = base.copy()
+            mult[x, y] = v
+            expected = oracles.first_law_violation(L, mult)
+            assert outcome(L, mult) == expected
+            seen.add(expected and expected[0])
+    assert seen == {None, "NotAssociative", "NotDistributive",
+                    "BottomNotAbsorbed"}
+
+
+def test_law_scan_that_finds_nothing_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(finq.quantale, "_laws_hold_on_irreducibles",
+                        lambda lattice, mult: False)
+    L = finq.chain(2)
+    with pytest.raises(InvariantViolated):
+        check_quantale(L, L.meet_table)
+
+
+@pytest.mark.parametrize("spec", CARRIER_SPECS)
+def test_residual_tables_match_bruteforce(carriers, spec):
+    Q = carriers[spec].quantale
+    fresh = finq.Quantale(Q.lattice, Q.mult)
+    for x in range(Q.n):
+        for z in range(Q.n):
+            assert fresh.left_residual_table[x, z] == \
+                oracles.residual_left_bruteforce(Q, x, z)
+            assert fresh.right_residual_table[x, z] == \
+                oracles.residual_right_bruteforce(Q, x, z)
+
+
+@pytest.mark.parametrize("spec", CARRIER_SPECS)
+def test_shift_relation_matches_scan(carriers, spec):
+    T = carriers[spec]
+    Q, n = T.quantale, T.n
+    star = T.frobenius.lneg.image
+    rng = np.random.default_rng([6, n])
+    pairs = [(star, star), (np.arange(n), np.arange(n))]
+    for _ in range(15):
+        pairs.append(tuple(rng.integers(0, n, size=(2, n))))
+        near = star.copy()
+        near[rng.integers(0, n)] = rng.integers(0, n)
+        pairs += [(near, star), (star, near)]
+    failed = 0
+    for l, r in pairs:
+        rep = check_frobenius(Q, l, r)
+        witness = oracles.shift_relation_scan(Q, l, r)
+        assert rep.shift_holds == (witness is None)
+        assert rep.witnesses.get("shift_holds") == witness
+        assert rep.shift_holds == rep.serre_identity
+        failed += witness is not None
+    assert failed > 15
+
+
+def test_join_irreducibles_match_lower_covers(small_lattices, carriers):
+    lattices = list(small_lattices) + [T.quantale.lattice
+                                       for T in carriers.values()]
+    for L in lattices + [L.dual() for L in lattices]:
+        assert L.join_irreducibles == oracles.join_irreducibles_by_covers(L)
+
+
+def test_chu_failed_validation_is_an_invariant_violation(monkeypatch):
+    real = finq.quantale.check_frobenius
+
+    def broken(Q, l, r):
+        return dataclasses.replace(real(Q, l, r), serre_identity=False,
+                                   witnesses={"serre_identity": (0, 0)})
+
+    monkeypatch.setattr(finq.quantale, "check_frobenius", broken)
+    Q = check_quantale(finq.chain(2), finq.chain(2).meet_table)
+    with pytest.raises(InvariantViolated) as exc:
+        chu(Q)
+    assert exc.value.witness == {"serre_identity": (0, 0)}
+    chu(Q, validate=False)
