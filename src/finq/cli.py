@@ -6,7 +6,8 @@ pipeline of them). Reports are deterministic JSON on standard out (or
 all checks pass, 1 when a mathematical check fails (witnesses in the
 report), 2 on parse, validation, or budget errors, and 3 when one of the
 library's own invariants fails (InvariantViolated: a defect in finq, with
-the witness in the report).
+the witness in the report). A raised error's code is its class's
+FinqError.exit_code.
 """
 
 import argparse
@@ -20,32 +21,7 @@ from .diamonds import (
     count_tight_mn,
     positivity_suite_mn,
 )
-from .errors import (
-    BottomNotAbsorbed,
-    BudgetExceeded,
-    CoincidenceFailed,
-    CycleDetected,
-    InvariantViolated,
-    NotADuality,
-    NotALattice,
-    NotANucleus,
-    NotAssociative,
-    NotAssociativeRelation,
-    NotBounded,
-    NotDistinctAtoms,
-    NotDistributive,
-    NotDualizing,
-    NotInjective,
-    NotMeetPreserving,
-    NotMonotone,
-    NotSerreDualityOnQuotient,
-    NotSerreGC,
-    NotSupPreserving,
-    NotTight,
-    NotWeaklySymmetric,
-    ParseError,
-    ValidationFailed,
-)
+from .errors import FinqError, ValidationFailed
 from .formats import (
     dumps_report,
     endomap_from_dict,
@@ -82,14 +58,9 @@ from .raney import (
     tight_quantale,
 )
 
-_INPUT_ERRORS = (ParseError, ValidationFailed, BudgetExceeded,
-                 NotDistinctAtoms)
-_MATH_ERRORS = (NotALattice, NotBounded, CycleDetected, NotAssociative,
-                NotDistributive, BottomNotAbsorbed, NotDualizing,
-                NotANucleus, NotSerreGC, NotSerreDualityOnQuotient,
-                NotAssociativeRelation, NotWeaklySymmetric, NotTight,
-                NotSupPreserving, NotMeetPreserving, NotMonotone,
-                NotADuality, NotInjective, CoincidenceFailed)
+# envelope status and stderr word for each FinqError.exit_code
+_OUTCOMES = {1: ("fail", "fail"), 2: ("error", "error"),
+             3: ("error", "internal error")}
 
 
 def _load_lattice(spec):
@@ -363,21 +334,12 @@ def main(argv=None):
                 "meta": {"tool": "finq", "version": __version__}}
     try:
         ok, report = args.handler(args)
-    except _INPUT_ERRORS as exc:
-        envelope.update(status="error", error=_error_payload(exc))
+    except FinqError as exc:
+        status, word = _OUTCOMES[exc.exit_code]
+        envelope.update(status=status, error=_error_payload(exc))
         _emit(args, envelope)
-        print(f"finq {args.verb}: error: {exc}", file=sys.stderr)
-        return 2
-    except _MATH_ERRORS as exc:
-        envelope.update(status="fail", error=_error_payload(exc))
-        _emit(args, envelope)
-        print(f"finq {args.verb}: fail: {exc}", file=sys.stderr)
-        return 1
-    except InvariantViolated as exc:
-        envelope.update(status="error", error=_error_payload(exc))
-        _emit(args, envelope)
-        print(f"finq {args.verb}: internal error: {exc}", file=sys.stderr)
-        return 3
+        print(f"finq {args.verb}: {word}: {exc}", file=sys.stderr)
+        return exc.exit_code
     envelope.update(status="pass" if ok else "fail", report=report)
     _emit(args, envelope)
     print(f"finq {args.verb}: {'pass' if ok else 'fail'}", file=sys.stderr)

@@ -22,24 +22,20 @@ from .lattice import (
     FiniteLattice,
     _sup_endomap_images,
     _sup_witness,
-    enumerate_sup_endomaps,
-    identity_map,
     is_distributive,
-    is_order_isomorphism,
-    is_sup_preserving,
     m_lattice,
     meet_of,
     n5,
 )
 from .quantale import is_positive_element
 from .raney import (
+    _RowIndex,
+    _a_rows,
+    _c_rows,
+    _generator_rows,
     _images,
-    _raney_inf_batch,
-    _raney_sup_batch,
-    a_map,
-    c_map,
-    is_tight,
-    star,
+    _star_batch,
+    _tight_mask,
     tight_quantale,
 )
 
@@ -54,59 +50,52 @@ def tight_count_formula(n):
     return (n ** 4 + 5 * n ** 2) // 2 - n ** 3 + 2 * n + 2
 
 
+def _budgeted_m_lattice(n, max_atoms):
+    """m_lattice(n), refused with the (n+2)^n estimate if n > max_atoms."""
+    if n > max_atoms:
+        raise BudgetExceeded((n + 2) ** n, (max_atoms + 2) ** max_atoms,
+                             "atom assignments")
+    return m_lattice(n)
+
+
 def sup_endomap_images_mn(n, max_atoms=_DEFAULT_MAX_ATOMS):
     """Image rows of every sup-preserving endomap of M_n, sorted.
 
     The generic enumeration of lattice._sup_endomap_images on m_lattice(n),
     behind the max_atoms budget on the (n+2)^n atom assignments.
     """
-    if n > max_atoms:
-        raise BudgetExceeded((n + 2) ** n, (max_atoms + 2) ** max_atoms,
-                             "atom assignments")
-    return _sup_endomap_images(m_lattice(n))
+    return _sup_endomap_images(_budgeted_m_lattice(n, max_atoms))
 
 
 def tight_images_mn(n, max_atoms=_DEFAULT_MAX_ATOMS):
-    L = m_lattice(n)
     imgs = sup_endomap_images_mn(n, max_atoms)
-    fixed = _raney_sup_batch(L, _raney_inf_batch(L, imgs))
-    return imgs[(fixed == imgs).all(axis=1)]
+    return imgs[_tight_mask(m_lattice(n), imgs)]
 
 
-def _classify_tight(L, img):
-    n = L.n - 2
-    bot, top = L.bot, L.top
-    if (img == c_map(L, bot).image).all() or (img == a_map(L, bot).image).all():
-        return "constants"
-    values = set(int(v) for v in img)
-    nonbot = values - {bot}
-    if len(nonbot) == 1:
-        # c_y o a_x: bot exactly on a principal downset, y elsewhere
-        y = nonbot.pop()
-        zeros = img == bot
-        x = int(np.flatnonzero(zeros)[-1]) if zeros[1:].any() else bot
-        candidate = c_map(L, y).image[a_map(L, x).image]
-        if (img == candidate).all():
-            return "c_compose_a"
-        return "others"
-    atom_positions = np.arange(1, n + 1)
-    atom_imgs = img[atom_positions]
-    if img[top] != top or img[bot] != bot:
-        return "others"
-    hit = atom_positions[(atom_imgs >= 1) & (atom_imgs <= n)]
-    if len(hit) == 1 and (np.delete(atom_imgs, hit[0] - 1) == top).all():
-        m, j = int(hit[0]), int(img[hit[0]])
-        candidate = L.join_table[c_map(L, j).image, a_map(L, m).image]
-        if (img == candidate).all():
-            return "c_join_a"
-        return "others"
-    if len(hit) == 2 and (np.delete(atom_imgs, hit - 1) == top).all():
-        x1, x2 = (int(v) for v in hit)
-        y1, y2 = int(img[x1]), int(img[x2])
-        if y1 != y2:
-            if (img == f_gen(n, x1, y1, x2, y2).image).all():
-                return "f_generators"
-    return "others"
+def _generator_params(n):
+    """Every atom tuple (x1, y1, x2, y2) of M_n with x1 != x2 and y1 != y2,
+    as rows: (x1, x2) is the outer and (y1, y2) the inner loop."""
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    return np.asarray([(x1, y1, x2, y2) for x1, x2 in pairs
+                       for y1, y2 in pairs], dtype=np.int64).reshape(-1, 4)
+
+
+def _tight_families(L):
+    """The image rows of the named tight families of M_n, in the order of
+    _CLASS_NAMES: the zero map and c_top; c_y o a_x for y != bot and
+    x != top, except c_top o a_bot = c_top; c_j v a_m for atoms j, m; and
+    f_{x1,y1,x2,y2} for x1 < x2 and y1 != y2 (swapping the two pairs
+    gives the same map). They are disjoint, of sizes 2, n^2 + 2n, n^2 and
+    n^2 (n-1)^2 / 2, which sum to the closed form."""
+    atoms = np.arange(1, L.n - 1)
+    y, x = np.asarray([(y, x) for y in range(1, L.n) for x in range(L.n - 1)
+                       if (y, x) != (L.top, L.bot)],
+                      dtype=np.int64).reshape(-1, 2).T
+    joins = L.join_table[_c_rows(L, atoms)[:, None], _a_rows(L, atoms)]
+    params = _generator_params(L.n - 2)
+    return [_c_rows(L, [L.bot, L.top]), _generator_rows(L, y, x),
+            joins.reshape(-1, L.n),
+            _f_gen_rows(L, params[params[:, 0] < params[:, 2]])]
 
 
 @dataclass(frozen=True)
@@ -131,17 +120,21 @@ def count_tight_mn(n, enumerate=True, max_atoms=_DEFAULT_MAX_ATOMS):
     formula = tight_count_formula(n)
     if not enumerate:
         return MnTightReport(n, None, formula, None)
-    L = m_lattice(n)
     rows = tight_images_mn(n, max_atoms)
-    classes = [_classify_tight(L, row) for row in rows]
-    if "others" in classes:
+    families = _tight_families(m_lattice(n))
+    table = np.concatenate(families)
+    label = np.repeat(np.arange(len(families)), [len(f) for f in families])
+    order = np.lexsort(table.T[::-1])
+    pos, found = _RowIndex(table[order]).locate(rows)
+    if not found.all():
         raise InvariantViolated("every tight map of M_n is in a named family",
-                                rows[classes.index("others")].tolist())
+                                rows[np.argmin(found)].tolist())
     counted = len(rows)
     if counted != formula:
         raise InvariantViolated("the tight maps of M_n match the closed form",
                                 {"counted": counted, "formula": formula})
-    by_class = {name: classes.count(name) for name in _CLASS_NAMES}
+    sizes = np.bincount(label[order][pos], minlength=len(_CLASS_NAMES))
+    by_class = dict(zip(_CLASS_NAMES, sizes.tolist()))
     return MnTightReport(n, counted, formula, by_class)
 
 
@@ -154,10 +147,10 @@ def tight_profile_mn(n, f):
     """
     L = m_lattice(n)
     img = _images(L, f)
-    g = EndoMap(L, img)
-    if not is_sup_preserving(g):
-        raise NotSupPreserving(_sup_witness(g))
-    tight = is_tight(g)
+    witness = _sup_witness(L, L, img[None, :])
+    if witness is not None:
+        raise NotSupPreserving(witness)
+    tight = bool(_tight_mask(L, img[None, :])[0])
     members = sorted(set(img.tolist()))
     sub = FiniteLattice.from_leq(L.leq[np.ix_(members, members)])
     distributive = is_distributive(sub)
@@ -181,22 +174,30 @@ def f_gen(n, x1, y1, x2, y2):
         raise NotDistinctAtoms("source atoms coincide")
     if y1 == y2:
         raise NotDistinctAtoms("value atoms coincide")
-    img = np.full(L.n, L.top, dtype=np.int64)
-    img[L.bot] = L.bot
-    img[x1], img[x2] = y1, y2
-    join = L.join_table[c_map(L, y2).image[a_map(L, x1).image],
-                        c_map(L, y1).image[a_map(L, x2).image]]
-    bad = np.flatnonzero(img != join)
+    return EndoMap(L, _f_gen_rows(L, np.asarray([[x1, y1, x2, y2]]))[0])
+
+
+def _f_gen_rows(L, params):
+    """The images of f_gen on M_n for the (x1, y1, x2, y2) rows of params,
+    checked against c_y2 o a_x1 v c_y1 o a_x2 on the whole table."""
+    x1, y1, x2, y2 = params.T
+    rows = _c_rows(L, np.full(len(params), L.top))
+    at = np.arange(len(params))
+    rows[at, x1], rows[at, x2] = y1, y2
+    join = L.join_table[_generator_rows(L, y2, x1),
+                        _generator_rows(L, y1, x2)]
+    bad = np.argwhere(rows != join)
     if bad.size:
+        r, t = bad[0]
         raise InvariantViolated("f_gen is c_y2 o a_x1 v c_y1 o a_x2",
-                                int(bad[0]))
-    return EndoMap(L, img)
+                                (*params[r].tolist(), int(t)))
+    return rows
 
 
 @dataclass(frozen=True)
-class NegationReport:
-    """Outcome of the closed-form negation sweep; truthy iff both formulas
-    held on every parameter tuple."""
+class _SweepReport:
+    """Named flags of a sweep over M_n with the first witness of each
+    failed one; truthy iff every flag holds."""
 
     n: int
     flags: dict
@@ -210,29 +211,36 @@ class NegationReport:
                 "witnesses": dict(self.witnesses)}
 
 
+class NegationReport(_SweepReport):
+    """Outcome of the closed-form negation sweep; truthy iff both formulas
+    held on every parameter tuple."""
+
+
 def check_negation_formulas(n, max_atoms=_DEFAULT_MAX_ATOMS):
     """star(c_y o a_x) = c_x v a_y over all pairs, and
-    star(f_{x1,y1,x2,y2}) = f_{y1,x2,y2,x1} over all valid atom tuples."""
-    if n > max_atoms:
-        raise BudgetExceeded((n + 2) ** n, (max_atoms + 2) ** max_atoms,
-                             "atom assignments")
-    L = m_lattice(n)
-    flags = {"composite": True, "generator": True}
-    witnesses = {}
-    for y, x in itertools.product(range(L.n), repeat=2):
-        lhs = star(EndoMap(L, c_map(L, y).image[a_map(L, x).image]))
-        rhs = L.join_table[c_map(L, x).image, a_map(L, y).image]
-        if not (lhs.image == rhs).all():
-            flags["composite"] = False
-            witnesses.setdefault("composite", (y, x))
-    atoms = range(1, n + 1)
-    for x1, x2 in itertools.permutations(atoms, 2):
-        for y1, y2 in itertools.permutations(atoms, 2):
-            lhs = star(f_gen(n, x1, y1, x2, y2))
-            rhs = f_gen(n, y1, x2, y2, x1)
-            if lhs != rhs:
-                flags["generator"] = False
-                witnesses.setdefault("generator", (x1, y1, x2, y2))
+    star(f_{x1,y1,x2,y2}) = f_{y1,x2,y2,x1} over all valid atom tuples.
+
+    Each formula is one table of image rows and one star call. A witness
+    is the first failing (y, x), or the first failing (x1, y1, x2, y2)
+    with (x1, x2) the outer and (y1, y2) the inner lexicographic order.
+    """
+    L = _budgeted_m_lattice(n, max_atoms)
+    yx = np.asarray(list(itertools.product(range(L.n), repeat=2)))
+    xyxy = _generator_params(n)
+    flags, witnesses = {}, {}
+    for name, params, rows, expected in (
+            ("composite", yx, _generator_rows(L, yx[:, 0], yx[:, 1]),
+             L.join_table[_c_rows(L, yx[:, 1]), _a_rows(L, yx[:, 0])]),
+            ("generator", xyxy, _f_gen_rows(L, xyxy),
+             _f_gen_rows(L, xyxy[:, [1, 2, 3, 0]]))):
+        # star's precondition, checked once per table
+        witness = _sup_witness(L, L, rows)
+        if witness is not None:
+            raise NotSupPreserving(witness)
+        bad = (_star_batch(L, rows) != expected).any(axis=1)
+        flags[name] = not bad.any()
+        if bad.any():
+            witnesses[name] = tuple(int(v) for v in params[np.argmax(bad)])
     return NegationReport(n, flags, witnesses)
 
 
@@ -250,42 +258,31 @@ def pentagon_diamond_check(L):
     else:
         raise ValidationFailed(
             "the set identity is only claimed for the pentagon and diamond")
-    sup = enumerate_sup_endomaps(L)
-    isos = {f for f in sup if is_order_isomorphism(f)}
-    tight = {f for f in sup if is_tight(f)}
-    if len(isos) != expected_isos:
-        raise InvariantViolated("order automorphism count", len(isos))
-    if identity_map(L) not in isos:
+    imgs = _sup_endomap_images(L)
+    ar = np.arange(L.n)
+    # bijective and order-reflecting
+    iso = (np.sort(imgs, axis=1) == ar).all(axis=1) & \
+        (L.leq == L.leq[imgs[:, :, None], imgs[:, None, :]]).all(axis=(1, 2))
+    if iso.sum() != expected_isos:
+        raise InvariantViolated("order automorphism count", int(iso.sum()))
+    if not (imgs[iso] == ar).all(axis=1).any():
         raise InvariantViolated("the identity is an order automorphism")
-    odd = sorted(f.image.tolist() for f in tight ^ (set(sup) - isos))
-    if odd:
-        raise InvariantViolated("tight maps are the non-isomorphisms", odd[0])
+    # the rows that are tight exactly when they are isomorphisms, sorted
+    odd = imgs[_tight_mask(L, imgs) == iso]
+    if odd.size:
+        raise InvariantViolated("tight maps are the non-isomorphisms",
+                                odd[0].tolist())
     return True
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(_SweepReport):
     """Residual-square positivity sweep; truthy iff every x\\x and x/x is
     positive, sits above the identity pointwise, and the bottom map is
     not positive."""
 
-    n: int
-    flags: dict
-    witnesses: dict
-
-    def __bool__(self):
-        return all(self.flags.values())
-
-    def to_dict(self):
-        return {"n": self.n, "flags": dict(self.flags),
-                "witnesses": dict(self.witnesses)}
-
 
 def positivity_suite_mn(n, max_atoms=_DEFAULT_MAX_ATOMS):
-    if n > max_atoms:
-        raise BudgetExceeded((n + 2) ** n, (max_atoms + 2) ** max_atoms,
-                             "atom assignments")
-    L = m_lattice(n)
+    L = _budgeted_m_lattice(n, max_atoms)
     T = tight_quantale(L)
     Q = T.quantale
     diag = np.arange(T.n)
@@ -363,12 +360,9 @@ def closures_vs_sublattices(n, max_atoms=_DEFAULT_MAX_ATOMS):
     pointwise meet is the identity while their meet inside the tight
     quantale collapses to the bottom map.
     """
-    if n > max_atoms:
-        raise BudgetExceeded((n + 2) ** n, (max_atoms + 2) ** max_atoms,
-                             "atom assignments")
+    imgs = sup_endomap_images_mn(n, max_atoms)
     L = m_lattice(n)
     ar = np.arange(L.n)
-    imgs = sup_endomap_images_mn(n, max_atoms)
     closed = L.leq[ar, imgs].all(axis=1)
     closed &= (np.take_along_axis(imgs, imgs, axis=1) == imgs).all(axis=1)
     closures = imgs[closed]
@@ -381,13 +375,13 @@ def closures_vs_sublattices(n, max_atoms=_DEFAULT_MAX_ATOMS):
     if len(set(fixed)) != len(closures) or set(fixed) != set(subs):
         flags["bijection"] = False
         witnesses["bijection"] = sorted(set(fixed) ^ set(subs))
-    for row, S in zip(closures, fixed):
+    for row, S, tight in zip(closures, fixed, _tight_mask(L, closures)):
         # inverse direction: each x goes to the least fixed point above it
         if list(row) != list(_closure_of_sublattice(L, S)):
             flags["bijection"] = False
             witnesses.setdefault("bijection", S)
         sub = FiniteLattice.from_leq(L.leq[np.ix_(S, S)])
-        if is_tight(EndoMap(L, row)) != is_distributive(sub):
+        if tight != is_distributive(sub):
             flags["tight_iff_distributive"] = False
             witnesses.setdefault("tight_iff_distributive", S)
 

@@ -6,15 +6,26 @@ as attributes, so callers can rebuild witness reports without parsing text.
 
 
 class FinqError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    exit_code is the command line's exit status for the error: 1 for a
+    failed mathematical check (the default), 2 for bad input or a budget
+    refusal, 3 for a defect in the library.
+    """
+
+    exit_code = 1
 
 
 class ParseError(FinqError):
     """Input file or literal could not be parsed."""
 
+    exit_code = 2
+
 
 class ValidationFailed(FinqError):
     """Input violates a structural contract (shape, range, declared laws)."""
+
+    exit_code = 2
 
 
 class InvariantViolated(FinqError):
@@ -23,6 +34,8 @@ class InvariantViolated(FinqError):
     This is a defect in the library, not in its input; the witness locates
     the first disagreement.
     """
+
+    exit_code = 3
 
     def __init__(self, what, witness=None):
         self.what = what
@@ -33,6 +46,8 @@ class InvariantViolated(FinqError):
 
 class BudgetExceeded(FinqError):
     """A search-space or materialization budget was exceeded."""
+
+    exit_code = 2
 
     def __init__(self, estimate, budget, what="candidates"):
         self.estimate = estimate
@@ -181,6 +196,8 @@ class NotTight(FinqError):
 
 
 class NotDistinctAtoms(FinqError):
+    exit_code = 2
+
     def __init__(self, reason):
         self.reason = reason
         super().__init__(f"generator parameters invalid: {reason}")

@@ -16,25 +16,20 @@ from .lattice import EndoMap, build_lattice
 from .nuclei import BinaryRelation, FiniteSemigroup
 
 
-def plain(value):
-    """Recursively strip numpy types so json.dumps accepts the payload."""
-    if isinstance(value, dict):
-        return {str(k): plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
+def _json_value(value):
+    """The JSON form of a numpy value json.dumps meets in a payload."""
     if isinstance(value, np.ndarray):
-        return plain(value.tolist())
-    if isinstance(value, (bool, np.bool_)):
+        return value.tolist()
+    if isinstance(value, np.bool_):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, np.integer):
         return int(value)
-    if value is None or isinstance(value, (str, float)):
-        return value
     raise ValidationFailed(f"cannot serialize {type(value).__name__}")
 
 
 def dumps_report(payload):
-    return json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=_json_value) + "\n"
 
 
 def load_json(path):

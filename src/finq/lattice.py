@@ -115,10 +115,13 @@ class FiniteLattice:
 
     @cached_property
     def covers(self):
-        """Pairs (x, y) with x < y and nothing strictly between."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        via = (strict.astype(np.int64) @ strict.astype(np.int64)) > 0
-        cov = strict & ~via
+        """Pairs (x, y) with x < y and nothing strictly between: for each
+        irreducible j <= y, x v j is x or y (else x < x v j < y)."""
+        leq, ar = self.leq, np.arange(self.n)
+        cov = leq & ~np.eye(self.n, dtype=bool)
+        for j in self.join_irreducibles:
+            cov &= ~leq[j] | leq[j][:, None] | \
+                (self.join_table[:, j, None] == ar)
         return [(int(x), int(y)) for x, y in np.argwhere(cov)]
 
     @cached_property
@@ -281,21 +284,13 @@ def is_sup_preserving(f):
     Finiteness reduces this to the empty join f(bot) = bot plus binary joins
     f(x v y) = f(x) v f(y) over all pairs.
     """
-    img = f.image
-    if img[f.source.bot] != f.target.bot:
-        return False
-    lhs = img[f.source.join_table]
-    rhs = f.target.join_table[np.ix_(img, img)]
-    return bool((lhs == rhs).all())
+    return _sup_witness(f.source, f.target, f.image[None, :]) is None
 
 
 def is_meet_preserving(f):
-    img = f.image
-    if img[f.source.top] != f.target.top:
-        return False
-    lhs = img[f.source.meet_table]
-    rhs = f.target.meet_table[np.ix_(img, img)]
-    return bool((lhs == rhs).all())
+    """True iff f preserves all meets: sup-preserving between the duals."""
+    return _sup_witness(f.source.dual(), f.target.dual(),
+                        f.image[None, :]) is None
 
 
 def right_adjoint(f):
@@ -303,12 +298,7 @@ def right_adjoint(f):
 
     f(x) <= y iff x <= g(y), realized as g(y) = join of {x | f(x) <= y}.
     """
-    if not is_sup_preserving(f):
-        raise NotSupPreserving(_sup_witness(f))
-    image = _right_adjoint_batch(f.source, f.target, f.image[None, :])[0]
-    if f.source == f.target:
-        return EndoMap(f.source, image)
-    return LatticeMap(f.target, f.source, image)
+    return _adjoint(f, f.source, f.target, NotSupPreserving, "bot")
 
 
 def left_adjoint(g):
@@ -317,13 +307,21 @@ def left_adjoint(g):
     f(x) <= y iff x <= g(y), realized as f(x) = meet of {y | x <= g(y)}:
     the right adjoint between the dual lattices.
     """
-    if not is_meet_preserving(g):
-        raise NotMeetPreserving(_meet_witness(g))
-    image = _right_adjoint_batch(g.source.dual(), g.target.dual(),
-                                 g.image[None, :])[0]
-    if g.source == g.target:
-        return EndoMap(g.source, image)
-    return LatticeMap(g.target, g.source, image)
+    return _adjoint(g, g.source.dual(), g.target.dual(), NotMeetPreserving,
+                    "top")
+
+
+def _adjoint(f, source, target, error, bot):
+    """The right adjoint of f as a map source -> target, which are f's
+    lattices or their duals; raises error with the witness of
+    _sup_witness, its ("bot",) named bot, when f does not qualify."""
+    witness = _sup_witness(source, target, f.image[None, :])
+    if witness is not None:
+        raise error((bot,) if witness == ("bot",) else witness)
+    image = _right_adjoint_batch(source, target, f.image[None, :])[0]
+    if f.source == f.target:
+        return EndoMap(f.source, image)
+    return LatticeMap(f.target, f.source, image)
 
 
 def _right_adjoint_batch(source, target, imgs):
@@ -340,22 +338,23 @@ def _right_adjoint_batch(source, target, imgs):
     return out
 
 
-def _sup_witness(f):
-    if f.image[f.source.bot] != f.target.bot:
+def _sup_witness(source, target, imgs):
+    """For the first row of an (R, source.n) image array that is not
+    sup-preserving, ("bot",) or the first (x, y) with f(x v y) !=
+    f(x) v f(y); None if there is none. Rows are accepted on x v j for
+    the irreducibles j, as every y is the join of those below it."""
+    jt = target.join_table
+    bad = imgs[:, source.bot] != target.bot
+    for j in source.join_irreducibles:
+        bad |= (imgs[:, source.join_table[:, j]]
+                != jt[imgs, imgs[:, j, None]]).any(axis=1)
+    if not bad.any():
+        return None
+    img = imgs[np.argmax(bad)]
+    if img[source.bot] != target.bot:
         return ("bot",)
-    lhs = f.image[f.source.join_table]
-    rhs = f.target.join_table[np.ix_(f.image, f.image)]
-    bad = np.argwhere(lhs != rhs)
-    return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
-
-
-def _meet_witness(g):
-    if g.image[g.source.top] != g.target.top:
-        return ("top",)
-    lhs = g.image[g.source.meet_table]
-    rhs = g.target.meet_table[np.ix_(g.image, g.image)]
-    bad = np.argwhere(lhs != rhs)
-    return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
+    pairs = np.argwhere(img[source.join_table] != jt[np.ix_(img, img)])
+    return (int(pairs[0][0]), int(pairs[0][1]))
 
 
 def is_order_isomorphism(f):

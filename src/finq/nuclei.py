@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    InvariantViolated,
     NotANucleus,
     NotAssociativeRelation,
     NotSerreDualityOnQuotient,
@@ -92,8 +93,12 @@ def is_nucleus(Q, j):
         return NucleusReport(False, "lax_multiplicative",
                              tuple(map(int, bad[0])))
     # split form is equivalent for closure operators
-    assert leq[Q.mult[:, img], jmult].all()
-    assert leq[Q.mult[img, :], jmult].all()
+    for form, prod in (("x*j(y) <= j(x*y)", Q.mult[:, img]),
+                       ("j(x)*y <= j(x*y)", Q.mult[img, :])):
+        bad = np.argwhere(~leq[prod, jmult])
+        if bad.size:
+            raise InvariantViolated(f"a nucleus satisfies {form}",
+                                    tuple(map(int, bad[0])))
     return NucleusReport(True, None, None)
 
 
@@ -155,7 +160,10 @@ def quotient_quantale(Q, j):
 
     # j is a homomorphism: j(x*y) = j(x) *_j j(y), surjective by fixpoints
     jq = to_closed[img]
-    assert np.array_equal(jq[Q.mult], mult_j[np.ix_(jq, jq)])
+    bad = np.argwhere(jq[Q.mult] != mult_j[np.ix_(jq, jq)])
+    if bad.size:
+        raise InvariantViolated("the nucleus is a quantale homomorphism",
+                                tuple(map(int, bad[0])))
     return QuotientQuantale(Q, nuc, closed, quot, to_closed)
 
 
@@ -183,17 +191,25 @@ def serre_gc_quotient(Q, l, r):
     r_arr = _image_array(r, Q.n)
     j_img = l_arr[r_arr]
     nrep = is_nucleus(Q, j_img)
-    assert nrep, nrep.law
+    if not nrep:
+        raise InvariantViolated("l o r of a Serre Galois connection is a "
+                                f"nucleus ({nrep.law})", nrep.witness)
     quot = quotient_quantale(Q, Nucleus(Q, j_img))
 
     sub = np.asarray(quot.closed, dtype=np.int64)
     l_j = quot.to_closed[l_arr[sub]]
     r_j = quot.to_closed[r_arr[sub]]
-    assert (l_j >= 0).all() and (r_j >= 0).all()
+    bad = np.flatnonzero((l_j < 0) | (r_j < 0))
+    if bad.size:
+        raise InvariantViolated("l and r map closed elements to closed ones",
+                                int(sub[bad[0]]))
     F = FrobeniusStructure(quot.quantale,
                            EndoMap(quot.quantale.lattice, l_j),
                            EndoMap(quot.quantale.lattice, r_j))
-    assert F.report.frobenius_valid and F.report.shift_holds
+    if not (F.report.frobenius_valid and F.report.shift_holds):
+        raise InvariantViolated("the restricted pair is a Frobenius "
+                                "structure on the quotient",
+                                F.report.witnesses)
     return quot.nucleus, quot, F
 
 
@@ -223,14 +239,21 @@ def lift_serre(Q, j, l, r):
     lifted_l = sub[l_j[jc]]
     lifted_r = sub[r_j[jc]]
     lrep = check_frobenius(Q, lifted_l, lifted_r)
-    assert lrep.serre_gc_valid
+    if not lrep.serre_gc_valid:
+        raise InvariantViolated("the lifted pair is a Serre Galois "
+                                "connection", lrep.witnesses)
 
     # round-trip: quotienting by the lifted pair restores the input
     _, quot2, F2 = serre_gc_quotient(Q, lifted_l, lifted_r)
-    assert quot2.closed == quot.closed
-    assert np.array_equal(quot2.quantale.mult, quot.quantale.mult)
-    assert np.array_equal(F2.lneg.image, l_j)
-    assert np.array_equal(F2.rneg.image, r_j)
+    for what, same in (
+            ("closed elements", quot2.closed == quot.closed),
+            ("multiplication",
+             np.array_equal(quot2.quantale.mult, quot.quantale.mult)),
+            ("lneg", np.array_equal(F2.lneg.image, l_j)),
+            ("rneg", np.array_equal(F2.rneg.image, r_j))):
+        if not same:
+            raise InvariantViolated(
+                "quotienting by the lifted pair restores the quotient", what)
     return (EndoMap(Q.lattice, lifted_l), EndoMap(Q.lattice, lifted_r))
 
 
@@ -249,9 +272,12 @@ def representable_flags(Q, l, r):
             break
     if found is None:
         from .quantale import find_unit
-        if find_unit(Q).unit is not None:
-            # every Serre GC on a unital quantale is representable
-            assert not check_frobenius(Q, l_arr, r_arr).serre_gc_valid
+        # every Serre GC on a unital quantale is representable
+        if find_unit(Q).unit is not None and \
+                check_frobenius(Q, l_arr, r_arr).serre_gc_valid:
+            raise InvariantViolated(
+                "a Serre Galois connection on a unital quantale is "
+                "representable")
     return {"representable_by": found}
 
 
@@ -411,9 +437,20 @@ def phase_quantale(S, R, max_elements=20):
     PQ = powerset_quantale(S, max_elements=max_elements)
     _, quot, F = serre_gc_quotient(PQ, gal.l, gal.r)
 
-    seeds = {int(gal.r[0])} | {int(gal.r[1 << x]) for x in range(S.n)}
+    family = _intersection_closure(
+        [int(gal.r[0])] + [int(gal.r[1 << x]) for x in range(S.n)])
+    if family != set(quot.closed):
+        raise InvariantViolated(
+            "the closed sets are the intersection closure of the r-images",
+            sorted(family ^ set(quot.closed)))
+    return quot, F
+
+
+def _intersection_closure(seeds):
+    """The smallest set of int bitmasks that holds the seeds and is closed
+    under bitwise and (intersection of the sets they encode)."""
     family = set(seeds)
-    frontier = list(seeds)
+    frontier = list(family)
     while frontier:
         a = frontier.pop()
         for b in list(family):
@@ -421,8 +458,7 @@ def phase_quantale(S, R, max_elements=20):
             if c not in family:
                 family.add(c)
                 frontier.append(c)
-    assert family == set(quot.closed)
-    return quot, F
+    return family
 
 
 def _disjoint_rows(a, b):
@@ -507,15 +543,7 @@ def represent_frobenius(Q, F):
     ok_r = bool((Rbool == leq[:, r_arr].T).all())
     record("r_singletons_principal", ok_r)
 
-    family = {full} | set(rrow)
-    frontier = list(family)
-    while frontier:
-        a = frontier.pop()
-        for b in list(family):
-            c = a & b
-            if c not in family:
-                family.add(c)
-                frontier.append(c)
+    family = _intersection_closure([full] + rrow)
     record("closed_family_is_principal_downsets",
            family == set(down) and len(set(down)) == n)
 

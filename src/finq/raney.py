@@ -23,7 +23,7 @@ from .lattice import (
     EndoMap,
     FiniteLattice,
     _right_adjoint_batch,
-    enumerate_sup_endomaps,
+    _sup_endomap_images,
     right_adjoint,
 )
 from .quantale import FrobeniusStructure, Quantale, check_frobenius
@@ -103,8 +103,13 @@ def cotight_closure(f):
         L, f.image[None, :]))[0])
 
 
+def _tight_mask(L, imgs):
+    """Which rows of an (R, n) image array are tight: fixed by rans o rani."""
+    return (_raney_sup_batch(L, _raney_inf_batch(L, imgs)) == imgs).all(-1)
+
+
 def is_tight(f):
-    return tight_interior(f) == f
+    return bool(_tight_mask(f.lattice, f.image[None, :])[0])
 
 
 def is_cotight(f):
@@ -117,17 +122,36 @@ def star(f):
     return raney_sup(g)
 
 
+def _star_batch(L, imgs):
+    """star over the rows of an (R, n) array of sup-preserving maps."""
+    return _raney_sup_batch(L, _right_adjoint_batch(L, L, imgs))
+
+
+def _c_rows(L, ys):
+    """The images of c_y, one row per entry of ys."""
+    rows = np.repeat(np.asarray(ys, dtype=np.int64)[:, None], L.n, axis=1)
+    rows[:, L.bot] = L.bot
+    return rows
+
+
+def _a_rows(L, xs):
+    """The images of a_x, one row per entry of xs."""
+    return np.where(L.leq.T[xs], L.bot, L.top)
+
+
+def _generator_rows(L, ys, xs):
+    """The images of c_y o a_x for the paired entries of ys and xs."""
+    return np.take_along_axis(_c_rows(L, ys), _a_rows(L, xs), axis=1)
+
+
 def c_map(L, y):
     """c_y: bot at bot, constantly y elsewhere; tight."""
-    img = np.full(L.n, y, dtype=np.int64)
-    img[L.bot] = L.bot
-    return EndoMap(L, img)
+    return EndoMap(L, _c_rows(L, [y])[0])
 
 
 def a_map(L, x):
     """a_x: bot on the downset of x, top elsewhere; tight."""
-    img = np.where(L.leq[:, x], L.bot, L.top).astype(np.int64)
-    return EndoMap(L, img)
+    return EndoMap(L, _a_rows(L, [x])[0])
 
 
 def decompose_tight(f):
@@ -145,8 +169,8 @@ def decompose_tight(f):
     g = raney_inf(f)
     pairs = [(int(g.image[t]), t) for t in range(L.n)]
     acc = np.full(L.n, L.bot, dtype=np.int64)
-    for y, x in pairs:
-        acc = L.join_table[acc, c_map(L, y).image[a_map(L, x).image]]
+    for row in _generator_rows(L, g.image, np.arange(L.n)):
+        acc = L.join_table[acc, row]
     bad = np.flatnonzero(acc != f.image)
     if bad.size:
         raise InvariantViolated("a tight map is the join of its generators",
@@ -220,12 +244,17 @@ class _RowIndex:
         a = np.ascontiguousarray(rows, dtype=self._dtype)
         return a.view(f"S{a.shape[-1] * a.itemsize}")[..., 0]
 
-    def find(self, rows, what):
-        """Indices of the rows of an (..., n) array, shaped (...)."""
+    def locate(self, rows):
+        """Positions of the rows of an (..., n) array, and which exist."""
         keys = self._key(rows)
         pos = np.minimum(np.searchsorted(self._keys, keys),
                          len(self._keys) - 1)
-        if not (self._keys[pos] == keys).all():
+        return pos, self._keys[pos] == keys
+
+    def find(self, rows, what):
+        """Indices of the rows of an (..., n) array, shaped (...)."""
+        pos, found = self.locate(rows)
+        if not found.all():
             raise ValidationFailed(f"{what} is not an element of the carrier")
         return pos
 
@@ -279,11 +308,8 @@ def tight_quantale(L, max_candidates=10 ** 9):
     negation is star, rans of the batched right adjoints. Laws are not
     re-verified here; check_quantale and check_frobenius accept the result.
     """
-    sup_maps = enumerate_sup_endomaps(L, max_candidates=max_candidates)
-    imgs = np.asarray([m.image for m in sup_maps], dtype=np.int64)
-    tight_rows = _raney_sup_batch(L, _raney_inf_batch(L, imgs))
-    keep = (tight_rows == imgs).all(axis=1)
-    imgs = imgs[keep]
+    imgs = _sup_endomap_images(L, max_candidates)
+    imgs = imgs[_tight_mask(L, imgs)]
     index = _RowIndex(imgs)
 
     jt, mt = L.join_table, L.meet_table
@@ -294,18 +320,15 @@ def tight_quantale(L, max_candidates=10 ** 9):
     inner = _raney_inf_batch(L, imgs)
     meet = _pair_table(inner, inner, lambda a, b: index.find(
         _raney_sup_batch(L, mt[a[:, None, :], b]), "tight meet"))
-    # the least tight map is zero, the greatest is c_top o a_bot
-    bot = index.find(np.full(L.n, L.bot), "zero map")
-    top = index.find(np.where(np.arange(L.n) == L.bot, L.bot, L.top),
-                     "c_top o a_bot")
+    # the least tight map is c_bot, the zero map, the greatest is c_top
+    bot, top = index.find(_c_rows(L, [L.bot, L.top]), "constant map")
     lat = FiniteLattice(len(imgs), _pointwise_leq(L, imgs), join, meet,
                         bot, top)
     comp = _pair_table(imgs, imgs,
                        lambda a, b: index.find(a[:, b], "composition"))
     Q = Quantale(lat, comp)
 
-    star_rows = _raney_sup_batch(L, _right_adjoint_batch(L, L, imgs))
-    star_idx = index.find(star_rows, "star")
+    star_idx = index.find(_star_batch(L, imgs), "star")
     F = FrobeniusStructure(Q, EndoMap(lat, star_idx), EndoMap(lat, star_idx))
 
     elements = tuple(EndoMap(L, row) for row in imgs)
@@ -376,8 +399,7 @@ def bullet_quantale(L, max_candidates=10 ** 9):
     from .quantale import check_quantale
 
     D = L.dual()
-    dual_maps = enumerate_sup_endomaps(D, max_candidates=max_candidates)
-    imgs = np.asarray([m.image for m in dual_maps], dtype=np.int64)
+    imgs = _sup_endomap_images(D, max_candidates)
     N, n = imgs.shape
     index = _RowIndex(imgs)
     elements = tuple(EndoMap(L, row) for row in imgs)
@@ -387,10 +409,9 @@ def bullet_quantale(L, max_candidates=10 ** 9):
         _meet_closure_batch(L, jt[a[:, None, :], b]), "bullet join"))
     meet = _pair_table(imgs, imgs, lambda a, b: index.find(
         mt[a[:, None, :], b], "bullet meet"))
-    # the least meet-preserving map sends all but top to bot
-    bot = index.find(np.where(np.arange(n) == L.top, L.top, L.bot),
-                     "least meet-preserving map")
-    top = index.find(np.full(n, L.top), "constant top")
+    # the greatest meet-preserving map is c_bot of the dual lattice
+    # (constantly L's top), the least is c_top of the dual
+    top, bot = index.find(_c_rows(D, [D.bot, D.top]), "constant map")
     lat = FiniteLattice(N, _pointwise_leq(L, imgs), join, meet, bot, top)
 
     rans_rows = _raney_sup_batch(L, imgs)

@@ -187,9 +187,18 @@ def shift_relation_scan(Q, l, r):
     return None
 
 
+def covers_bruteforce(L):
+    """Pairs x < y with no z strictly between, scanning every z."""
+    def lt(a, b):
+        return a != b and L.leq[a, b]
+    return [(x, y) for x in range(L.n) for y in range(L.n)
+            if lt(x, y) and not any(lt(x, z) and lt(z, y)
+                                    for z in range(L.n))]
+
+
 def join_irreducibles_by_covers(L):
     """Elements with exactly one lower cover."""
     lower = [0] * L.n
-    for _, y in L.covers:
+    for _, y in covers_bruteforce(L):
         lower[y] += 1
     return [y for y in range(L.n) if lower[y] == 1]

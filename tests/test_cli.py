@@ -315,6 +315,34 @@ def test_invariant_violation_is_exit_3(capsys, monkeypatch):
         finq.bullet_quantale(finq.m_lattice(2))
 
 
+class Unlisted(finq.FinqError):
+    """An error class the command line has never heard of."""
+
+
+class UnlistedInput(finq.FinqError):
+    exit_code = 2
+
+
+@pytest.mark.parametrize("error, code, status, word", [
+    (Unlisted("odd"), 1, "fail", "fail"),
+    (UnlistedInput("odd"), 2, "error", "error"),
+    (finq.NotTight(3), 1, "fail", "fail"),
+    (finq.NotDistinctAtoms("odd"), 2, "error", "error"),
+], ids=["unlisted", "unlisted-input", "math", "input"])
+def test_exit_code_comes_from_the_error_class(capsys, monkeypatch, error,
+                                              code, status, word):
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(finq.cli, "_cmd_check_lattice", handler)
+    rc, out, err = run(capsys, "check-lattice", "--lattice", "M(2)")
+    assert rc == code
+    doc = json.loads(out)
+    assert doc["status"] == status
+    assert doc["error"]["type"] == type(error).__name__
+    assert err.startswith(f"finq check-lattice: {word}: ")
+
+
 def test_mn_count_mismatch_is_exit_3(capsys, monkeypatch):
     real = finq.diamonds.tight_images_mn
     monkeypatch.setattr(finq.diamonds, "tight_images_mn",

@@ -130,6 +130,13 @@ def test_join_irreducibles_match_lower_covers(small_lattices, carriers):
         assert L.join_irreducibles == oracles.join_irreducibles_by_covers(L)
 
 
+def test_covers_match_bruteforce(small_lattices, carriers):
+    lattices = list(small_lattices) + [T.quantale.lattice
+                                       for T in carriers.values()]
+    for L in lattices + [L.dual() for L in lattices]:
+        assert L.covers == oracles.covers_bruteforce(L)
+
+
 def test_chu_failed_validation_is_an_invariant_violation(monkeypatch):
     real = finq.quantale.check_frobenius
 

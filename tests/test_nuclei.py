@@ -351,3 +351,17 @@ def test_nucleus_quotient_join_rule():
     jt = quot.quantale.lattice.join_table
     amb = Q.lattice.join_table[np.ix_(sub, sub)]
     assert np.array_equal(sub[jt], np.asarray([1, 1, 2])[amb])
+
+
+def test_serre_quotient_invariant_raises_a_typed_error(monkeypatch):
+    """A failed library invariant is InvariantViolated, not an assert
+    that python -O would strip."""
+    import finq
+    from finq.nuclei import NucleusReport
+    T = finq.tight_quantale(m_lattice(2))
+    monkeypatch.setattr(finq.nuclei, "is_nucleus",
+                        lambda Q, j: NucleusReport(False, "isotone", (0, 1)))
+    with pytest.raises(finq.InvariantViolated) as exc:
+        serre_gc_quotient(T.quantale, T.frobenius.lneg.image,
+                          T.frobenius.rneg.image)
+    assert exc.value.witness == (0, 1)
