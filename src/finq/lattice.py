@@ -14,12 +14,17 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     CycleDetected,
+    InvariantViolated,
     NotALattice,
     NotBounded,
     NotMeetPreserving,
     NotSupPreserving,
     ValidationFailed,
 )
+
+# entries of an intermediate built at once: N x N tables are filled in row
+# blocks of at most this many entries
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _frozen(a):
@@ -45,12 +50,11 @@ class FiniteLattice:
 
     @classmethod
     def from_leq(cls, leq, labels=None):
-        """Build a lattice from an order table alone.
-
-        Checks the partial-order axioms, locates bottom and top, and computes
-        the join and meet tables. Raises NotALattice when some pair has no
-        least upper bound or no greatest lower bound.
-        """
+        """Build a lattice from an order table alone; the one place where
+        join and meet tables are derived from an order. Checks the order
+        axioms and bounds, then folds over the join-irreducibles J in
+        O(|J| n^2) (_lattice_tables). NotALattice names the first index pair
+        x <= y, row-major, with no lub or, checked second, no glb."""
         leq = np.asarray(leq, dtype=bool)
         n = leq.shape[0]
         if leq.shape != (n, n) or n == 0:
@@ -59,7 +63,7 @@ class FiniteLattice:
             raise ValidationFailed("order not reflexive")
         if (leq & leq.T).sum() != n:
             raise ValidationFailed("order not antisymmetric")
-        if ((leq.astype(np.int64) @ leq.astype(np.int64) > 0) & ~leq).any():
+        if (_composed(leq) & ~leq).any():
             raise ValidationFailed("order not transitive")
 
         bots = np.flatnonzero(leq.all(axis=1))
@@ -68,27 +72,8 @@ class FiniteLattice:
         tops = np.flatnonzero(leq.all(axis=0))
         if tops.size != 1:
             raise NotBounded("top")
-
-        # An element is the lub of {x, y} exactly when its upset equals the
-        # set of common upper bounds, so a dict keyed on upset rows finds it.
-        upset_id = {leq[i].tobytes(): i for i in range(n)}
-        downset_id = {leq[:, i].tobytes(): i for i in range(n)}
-        join_table = np.empty((n, n), dtype=np.int64)
-        meet_table = np.empty((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(x, n):
-                ub = leq[x] & leq[y]
-                j = upset_id.get(ub.tobytes())
-                if j is None:
-                    raise NotALattice(x, y, "least upper bound")
-                join_table[x, y] = join_table[y, x] = j
-                lb = leq[:, x] & leq[:, y]
-                m = downset_id.get(lb.tobytes())
-                if m is None:
-                    raise NotALattice(x, y, "greatest lower bound")
-                meet_table[x, y] = meet_table[y, x] = m
-        return cls(n, leq, join_table, meet_table, int(bots[0]), int(tops[0]),
-                   labels)
+        return cls(n, leq, *_lattice_tables(leq, int(bots[0])),
+                   int(bots[0]), int(tops[0]), labels)
 
     def __len__(self):
         return self.n
@@ -126,20 +111,11 @@ class FiniteLattice:
 
     @cached_property
     def join_irreducibles(self):
-        """Elements j != bot that are not the join of the elements strictly
-        below them (equivalently, with exactly one lower cover).
-
-        Every element is the join of the irreducibles below it, which is what
-        drives sup-endomap enumeration and the quantale law checks. One fold
-        over the elements, each step over all of them at once.
-        """
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        below = np.full(self.n, self.bot, dtype=np.int64)
-        for x in range(self.n):
-            below = np.where(strict[x], self.join_table[below, x], below)
-        ar = np.arange(self.n)
-        irreducible = (below != ar) & (ar != self.bot)
-        return [int(j) for j in np.flatnonzero(irreducible)]
+        """Elements that are not the join of the elements strictly below
+        them, read off the order. Every element is the join of the
+        irreducibles below it: this drives the tables, the sup-endomap
+        enumeration and the law checks."""
+        return [int(j) for j in np.flatnonzero(_irreducible_mask(self.leq))]
 
     @cached_property
     def atoms(self):
@@ -152,6 +128,75 @@ class FiniteLattice:
 
     def label(self, x):
         return self.labels[x] if self.labels is not None else str(x)
+
+
+def _composed(rel):
+    """A boolean relation composed with itself as a float32 matmul (BLAS);
+    a sum of 0/1 products is positive iff some product is 1."""
+    f = rel.astype(np.float32)
+    return f @ f > 0
+
+
+def _least(bounds, order, size):
+    """The first element of each row of bounds (columns in the element order
+    `order`), and whether its size (upset or downset size) is the row's
+    count, which makes it the row's least (or greatest) element."""
+    first = order[bounds.argmax(axis=1)]
+    return first, size[first] == np.count_nonzero(bounds, axis=1)
+
+
+def _irreducible_mask(leq):
+    """Which elements of a finite poset have a greatest element strictly
+    below them, equivalently exactly one lower cover."""
+    down = leq.sum(axis=0)
+    # downset sizes grow strictly along the order: a linear extension
+    order = np.argsort(down, kind="stable")[::-1]
+    strict = (leq & ~np.eye(len(leq), dtype=bool)).T[:, order]
+    return _least(strict, order, down)[1]
+
+
+def _lattice_tables(leq, bot):
+    """The join and meet tables of a bounded poset; NotALattice if it is not
+    a lattice. x v j, for j in J, is the first common upper bound in a linear
+    extension if that is least. If all exist, each y is the join of the j
+    below it (by induction: for lower covers a != b of y, folding a v j over
+    the j <= b ends at y), so x v y folds x v j over those j and x ^ y the
+    join over the j below both; in place, in row blocks."""
+    n = len(leq)
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    up, up_size = leq[:, order], leq.sum(axis=1)
+    irr = np.flatnonzero(_irreducible_mask(leq))
+    with_j = [_least(up & up[j], order, up_size) for j in irr]
+    if not all(least.all() for _, least in with_j):
+        raise NotALattice(*_first_missing_bound(leq))
+    join = np.repeat(np.arange(n)[:, None], n, axis=1)
+    meet = np.full((n, n), bot, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for b in range(0, n, step):
+        rows = slice(b, b + step)
+        for j, (col, _) in zip(irr, with_j):
+            np.copyto(join[rows], col[join[rows]], where=leq[j])
+            np.copyto(meet[rows], col[meet[rows]],
+                      where=leq[j, rows, None] & leq[j])
+    return join, meet
+
+
+def _first_missing_bound(leq):
+    """The first index pair x <= y, row-major, of a bounded non-lattice
+    that has no least upper bound or, checked second, no greatest lower
+    bound, as (x, y, kind); one vectorized step per row x."""
+    up_size, down_size = leq.sum(axis=1), leq.sum(axis=0)
+    order = np.argsort(down_size, kind="stable")
+    up, down = leq[:, order], leq.T[:, order[::-1]]
+    for x in range(len(leq)):
+        lub = _least(up[x] & up[x:], order, up_size)[1]
+        glb = _least(down[x] & down[x:], order[::-1], down_size)[1]
+        bad = np.flatnonzero(~(lub & glb))
+        if bad.size:
+            y = int(bad[0])
+            return x, x + y, ("greatest lower bound" if lub[y]
+                              else "least upper bound")
+    raise InvariantViolated("a poset whose folds fail is not a lattice")
 
 
 def build_lattice(covers, n, labels=None):
@@ -176,14 +221,12 @@ def build_lattice(covers, n, labels=None):
     if bad.size:
         x, y = pairs[bad[0]]
         raise ValidationFailed(f"cover ({x}, {y}) out of range for n={n}")
-    adj = np.zeros((n, n), dtype=bool)
-    adj[pairs[:, 0], pairs[:, 1]] = True
-    closure = adj.copy()
-    for _ in range(n):
-        nxt = closure | ((closure.astype(np.int64) @ adj) > 0)
-        if np.array_equal(nxt, closure):
-            break
-        closure = nxt
+    closure = np.zeros((n, n), dtype=bool)
+    closure[pairs[:, 0], pairs[:, 1]] = True
+    # square the relation until nothing changes: log2(n) matmuls at most
+    prev = None
+    while prev is None or not np.array_equal(prev, closure):
+        prev, closure = closure, closure | _composed(closure)
     diag = np.flatnonzero(closure.diagonal())
     if diag.size:
         raise CycleDetected(int(diag[0]))
@@ -404,17 +447,10 @@ def m_lattice(n):
     """M(n): bottom 0, pairwise-incomparable atoms 1..n, top n+1."""
     if n < 0:
         raise ValidationFailed("M(n) needs n >= 0")
-    size = n + 2
-    top = size - 1
-    leq = np.eye(size, dtype=bool)
-    leq[0, :] = True
-    leq[:, top] = True
-    r = np.arange(size)
-    # comparable pairs join to the larger; two distinct atoms join to top
-    join = np.where(leq, r[None, :], np.where(leq.T, r[:, None], top))
-    meet = np.where(leq, r[:, None], np.where(leq.T, r[None, :], 0))
+    leq = np.eye(n + 2, dtype=bool)
+    leq[0, :] = leq[:, -1] = True
     labels = ["bot"] + [f"a{i}" for i in range(1, n + 1)] + ["top"]
-    return FiniteLattice(size, leq, join, meet, 0, top, labels)
+    return FiniteLattice.from_leq(leq, labels)
 
 
 def n5():

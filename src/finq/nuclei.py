@@ -124,12 +124,11 @@ class QuotientQuantale:
 def quotient_quantale(Q, j):
     """Restrict Q to the fixed points of the nucleus j.
 
-    The quotient lattice is built from the ambient tables, not rediscovered
-    from its order: the order is the ambient one, joins are j of the
-    ambient join, meets are ambient, bottom is j(bot) and top is the
-    ambient top. The induced multiplication is x *_j y = j(x * y). The
-    projection j: Q -> Q_j is checked to be a surjective quantale
-    homomorphism.
+    The quotient lattice is the ambient order restricted to the closed
+    elements, with its tables from FiniteLattice.from_leq (its joins are j
+    of the ambient joins, its meets the ambient ones). The induced
+    multiplication is x *_j y = j(x * y). The projection j: Q -> Q_j is
+    checked to be a surjective quantale homomorphism.
     """
     rep = is_nucleus(Q, j)
     if not rep:
@@ -145,15 +144,8 @@ def quotient_quantale(Q, j):
     to_closed[sub] = np.arange(len(closed))
 
     L = Q.lattice
-    labels = None
-    if L.labels is not None:
-        labels = [L.labels[x] for x in closed]
-    # the least closed upper bound is j of the ambient join; closed
-    # elements are closed under meets, and top is closed
-    lat = FiniteLattice(len(closed), L.leq[np.ix_(sub, sub)],
-                        to_closed[img[L.join_table[np.ix_(sub, sub)]]],
-                        to_closed[L.meet_table[np.ix_(sub, sub)]],
-                        to_closed[img[L.bot]], to_closed[L.top], labels)
+    labels = None if L.labels is None else [L.labels[x] for x in closed]
+    lat = FiniteLattice.from_leq(L.leq[np.ix_(sub, sub)], labels)
 
     mult_j = to_closed[img[Q.mult[np.ix_(sub, sub)]]]
     quot = Quantale(lat, mult_j)

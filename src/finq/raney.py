@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvariantViolated, NotMonotone, NotTight, \
     ValidationFailed
 from .lattice import (
+    _BLOCK_ENTRIES,
     EndoMap,
     FiniteLattice,
     _right_adjoint_batch,
@@ -27,10 +28,6 @@ from .lattice import (
     right_adjoint,
 )
 from .quantale import FrobeniusStructure, Quantale, check_frobenius
-
-# entries of an (rows, N, n) intermediate built at once: N x N tables over a
-# carrier of N maps are filled in row blocks of at most this many entries
-_BLOCK_ENTRIES = 1 << 16
 
 
 def _images(L, f):
@@ -76,17 +73,6 @@ def raney_inf(f):
     """rani(f): always meet-preserving."""
     L = f.lattice
     return EndoMap(L, _raney_inf_batch(L, f.image[None, :])[0])
-
-
-def _rans_right_adjoint(L, img):
-    # the pointwise adjoint of rans on arbitrary endofunctions:
-    # g(y) = meet{t | f(t) not<= y}
-    out = np.full(L.n, L.top, dtype=np.int64)
-    mt = L.meet_table
-    for t in range(L.n):
-        mask = ~L.leq[img[t], :]
-        out[mask] = mt[out[mask], t]
-    return out
 
 
 def tight_interior(f):
@@ -301,29 +287,17 @@ class TightQuantale:
 def tight_quantale(L, max_candidates=10 ** 9):
     """Enumerate the tight endomaps of L and assemble their Girard quantale.
 
-    Elements are sorted by image array. Every table is read off the
-    enumerated images through one sorted row index: the order is pointwise,
-    joins are pointwise joins (which stay tight), meets are the tight
-    interior of pointwise meets, the multiplication is composition, and the
-    negation is star, rans of the batched right adjoints. Laws are not
-    re-verified here; check_quantale and check_frobenius accept the result.
+    Elements are sorted by image array. The order is pointwise, and
+    FiniteLattice.from_leq derives the joins and meets from it. The
+    multiplication is composition and the negation is star, rans of the
+    batched right adjoints, both located through one sorted row index.
+    Laws are not re-verified here; check_quantale and check_frobenius
+    accept the result.
     """
     imgs = _sup_endomap_images(L, max_candidates)
     imgs = imgs[_tight_mask(L, imgs)]
     index = _RowIndex(imgs)
-
-    jt, mt = L.join_table, L.meet_table
-    join = _pair_table(imgs, imgs, lambda a, b: index.find(
-        jt[a[:, None, :], b], "tight join"))
-    # rani turns pointwise meets into pointwise meets, so the tight
-    # interior rans(rani(f ^ g)) is rans(rani(f) ^ rani(g))
-    inner = _raney_inf_batch(L, imgs)
-    meet = _pair_table(inner, inner, lambda a, b: index.find(
-        _raney_sup_batch(L, mt[a[:, None, :], b]), "tight meet"))
-    # the least tight map is c_bot, the zero map, the greatest is c_top
-    bot, top = index.find(_c_rows(L, [L.bot, L.top]), "constant map")
-    lat = FiniteLattice(len(imgs), _pointwise_leq(L, imgs), join, meet,
-                        bot, top)
+    lat = FiniteLattice.from_leq(_pointwise_leq(L, imgs))
     comp = _pair_table(imgs, imgs,
                        lambda a, b: index.find(a[:, b], "composition"))
     Q = Quantale(lat, comp)
@@ -385,9 +359,9 @@ def bullet_quantale(L, max_candidates=10 ** 9):
     """Assemble the bullet quantale g . f = meet_closure(rans(g) o f).
 
     The carrier is the meet-preserving maps, i.e. the sup-preserving maps
-    of the dual lattice, indexed by one sorted row index. Its order and
-    meets are pointwise, joins are the meet closures of pointwise joins,
-    and products are batched meet closures; perp is rani of the batched
+    of the dual lattice, indexed by one sorted row index. Its order is
+    pointwise, and FiniteLattice.from_leq derives the joins and meets from
+    it. Products are batched meet closures; perp is rani of the batched
     left adjoints. Verifies the quantale laws, the Serre Galois connection
     perp, that its nucleus is the cotight closure, the quotient
     multiplication formula rani(rans(g) o rans(f)), and that rans is an
@@ -400,19 +374,9 @@ def bullet_quantale(L, max_candidates=10 ** 9):
 
     D = L.dual()
     imgs = _sup_endomap_images(D, max_candidates)
-    N, n = imgs.shape
     index = _RowIndex(imgs)
     elements = tuple(EndoMap(L, row) for row in imgs)
-
-    jt, mt = L.join_table, L.meet_table
-    join = _pair_table(imgs, imgs, lambda a, b: index.find(
-        _meet_closure_batch(L, jt[a[:, None, :], b]), "bullet join"))
-    meet = _pair_table(imgs, imgs, lambda a, b: index.find(
-        mt[a[:, None, :], b], "bullet meet"))
-    # the greatest meet-preserving map is c_bot of the dual lattice
-    # (constantly L's top), the least is c_top of the dual
-    top, bot = index.find(_c_rows(D, [D.bot, D.top]), "constant map")
-    lat = FiniteLattice(N, _pointwise_leq(L, imgs), join, meet, bot, top)
+    lat = FiniteLattice.from_leq(_pointwise_leq(L, imgs))
 
     rans_rows = _raney_sup_batch(L, imgs)
     mult = _pair_table(rans_rows, imgs, lambda a, b: index.find(

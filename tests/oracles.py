@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from finq.lattice import join_of, meet_of
+from finq.lattice import FiniteLattice, join_of, meet_of
 
 
 def all_endofunctions(L):
@@ -202,3 +202,44 @@ def join_irreducibles_by_covers(L):
     for _, y in covers_bruteforce(L):
         lower[y] += 1
     return [y for y in range(L.n) if lower[y] == 1]
+
+
+def from_leq_bruteforce(leq):
+    """The lattice of a bounded partial order, or the first index pair
+    x <= y, row-major, with no least upper bound (checked first) or no
+    greatest lower bound, as (x, y, kind).
+
+    An element is the lub of {x, y} exactly when its upset equals the set
+    of common upper bounds, so a dict keyed on upset rows finds it; dually
+    for the glb. The lattice is assembled from these tables directly.
+    """
+    leq = np.asarray(leq, dtype=bool)
+    n = len(leq)
+    upset_id = {leq[i].tobytes(): i for i in range(n)}
+    downset_id = {leq[:, i].tobytes(): i for i in range(n)}
+    join = np.empty((n, n), dtype=np.int64)
+    meet = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(x, n):
+            j = upset_id.get((leq[x] & leq[y]).tobytes())
+            if j is None:
+                return x, y, "least upper bound"
+            m = downset_id.get((leq[:, x] & leq[:, y]).tobytes())
+            if m is None:
+                return x, y, "greatest lower bound"
+            join[x, y] = join[y, x] = j
+            meet[x, y] = meet[y, x] = m
+    bot = next(x for x in range(n) if leq[x].all())
+    top = next(x for x in range(n) if leq[:, x].all())
+    return FiniteLattice(n, leq, join, meet, bot, top)
+
+
+def rans_right_adjoint(L, img):
+    """The pointwise right adjoint of rans on an arbitrary endofunction f:
+    g(y) = meet of {t | f(t) not<= y}."""
+    out = np.full(L.n, L.top, dtype=np.int64)
+    mt = L.meet_table
+    for t in range(L.n):
+        mask = ~L.leq[img[t], :]
+        out[mask] = mt[out[mask], t]
+    return out

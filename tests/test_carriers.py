@@ -1,10 +1,13 @@
-"""The carriers built from their known tables, against order-only rebuilds.
+"""The carriers, whose tables FiniteLattice.from_leq derives from their
+order, against the brute-force lattice of the same order.
 
-tight_quantale, bullet_quantale and quotient_quantale read their join and
-meet tables off the enumerated maps through a sorted row index, and
-m_lattice writes its tables directly. FiniteLattice.from_leq rediscovers
-the same tables from the order alone; the two must agree everywhere. The
-batched meet closure is compared row by row with the brute-force oracle.
+tight_quantale and bullet_quantale order their enumerated maps pointwise,
+quotient_quantale restricts the ambient order to the closed elements, and
+m_lattice writes its order directly; each then hands its order to from_leq.
+oracles.from_leq_bruteforce finds every join and meet by looking up the set
+of common bounds among the upsets and downsets, and the two must agree
+everywhere. The batched meet closure and the sorted row index, which the
+carriers use for their products, are compared with brute-force lookups.
 """
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ import oracles
 from finq.errors import InvariantViolated, ValidationFailed
 from finq.lattice import (
     EndoMap,
-    FiniteLattice,
     chain,
     m_lattice,
     n5,
@@ -50,13 +52,13 @@ def assert_same_lattice(lat, ref):
 def test_tight_carrier_matches_from_leq(carrier_lattices):
     for L in carrier_lattices:
         lat = tight_quantale(L).quantale.lattice
-        assert_same_lattice(lat, FiniteLattice.from_leq(lat.leq))
+        assert_same_lattice(lat, oracles.from_leq_bruteforce(lat.leq))
 
 
 def test_bullet_carrier_matches_from_leq(bullets):
     for B in bullets:
         lat = B.quantale.lattice
-        assert_same_lattice(lat, FiniteLattice.from_leq(lat.leq))
+        assert_same_lattice(lat, oracles.from_leq_bruteforce(lat.leq))
 
 
 def test_quotient_lattice_matches_closed_suborder(bullets):
@@ -66,14 +68,15 @@ def test_quotient_lattice_matches_closed_suborder(bullets):
         ambient = quot.ambient.lattice
         assert_same_lattice(
             quot.quantale.lattice,
-            FiniteLattice.from_leq(ambient.leq[np.ix_(sub, sub)]))
+            oracles.from_leq_bruteforce(ambient.leq[np.ix_(sub, sub)]))
 
 
 def test_m_lattice_matches_from_leq():
     for n in range(9):
         L = m_lattice(n)
-        assert_same_lattice(L, FiniteLattice.from_leq(L.leq))
-        assert L.labels == FiniteLattice.from_leq(L.leq, L.labels).labels
+        assert_same_lattice(L, oracles.from_leq_bruteforce(L.leq))
+        assert L.labels == \
+            ("bot",) + tuple(f"a{i}" for i in range(1, n + 1)) + ("top",)
 
 
 def monotone_rows(L, rng, count):

@@ -8,6 +8,7 @@ byte-identical across reruns.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import finq
@@ -276,9 +277,16 @@ def test_tight_quantale_budget(capsys):
     assert doc["error"]["type"] == "BudgetExceeded"
 
 
-def test_tight_quantale_roundtrips_through_checkers(capsys, tmp_path):
-    code, doc = run_json(capsys, "tight-quantale", "--lattice", "N5")
-    path = write(tmp_path, "n5q.json", doc["report"]["quantale"])
+@pytest.mark.parametrize("spec", ["N5", "M(5)"])
+def test_tight_quantale_roundtrips_through_checkers(capsys, tmp_path, spec):
+    code, doc = run_json(capsys, "tight-quantale", "--lattice", spec)
+    written = finq.tight_quantale(finq.standard_lattice(spec)).quantale.lattice
+    read = finq.formats.lattice_from_dict(doc["report"]["quantale"]["lattice"])
+    assert np.array_equal(read.leq, written.leq)
+    assert np.array_equal(read.join_table, written.join_table)
+    assert np.array_equal(read.meet_table, written.meet_table)
+    assert (read.bot, read.top) == (written.bot, written.top)
+    path = write(tmp_path, "tight.json", doc["report"]["quantale"])
     code, doc = run_json(capsys, "check-quantale", "--quantale", path)
     assert code == 0
     code, doc = run_json(capsys, "check-frobenius", "--quantale", path)

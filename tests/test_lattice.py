@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -38,6 +39,7 @@ from finq.lattice import (
     standard_lattice,
 )
 from finq.lattice import _sup_endomap_images
+from test_carriers import assert_same_lattice
 
 
 def test_build_m3_from_covers(m3):
@@ -62,15 +64,30 @@ def test_build_n5(pentagon):
 
 
 def test_build_lattice_errors():
-    with pytest.raises(CycleDetected):
-        build_lattice([(0, 1), (1, 0)], 2)
+    # CycleDetected names the least element on a cycle
+    for covers, n, node in [
+            ([(0, 1), (1, 0)], 2, 0),
+            ([(0, 1), (2, 3), (3, 2)], 4, 2),
+            ([(0, 1), (1, 1)], 2, 1),
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
+              (8, 3), (8, 9)], 10, 3)]:
+        with pytest.raises(CycleDetected) as err:
+            build_lattice(covers, n)
+        assert err.value.node == node
     with pytest.raises(NotBounded):
         build_lattice([], 2)
     with pytest.raises(ValidationFailed):
         build_lattice([(0, 7)], 3)
-    # two maximal lower bounds for the top pair: no glb
-    with pytest.raises((NotALattice, NotBounded)):
+    # two minimal elements 0 and 1: no bottom
+    with pytest.raises(NotBounded) as err:
         build_lattice([(0, 2), (0, 3), (1, 2), (1, 3)], 4)
+    assert err.value.which == "bottom"
+    # bounded, but 1 and 2 have the two minimal upper bounds 3 and 4
+    with pytest.raises(NotALattice) as err:
+        build_lattice([(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                       (3, 5), (4, 5)], 6)
+    assert (err.value.x, err.value.y, err.value.kind) == \
+        (1, 2, "least upper bound")
 
 
 def test_join_meet_of(m3):
@@ -153,11 +170,44 @@ def test_product_tables():
 
 
 def test_from_leq_matches_tables(small_lattices):
-    for L in small_lattices:
-        R = FiniteLattice.from_leq(L.leq)
-        assert np.array_equal(R.join_table, L.join_table)
-        assert np.array_equal(R.meet_table, L.meet_table)
-        assert (R.bot, R.top) == (L.bot, L.top)
+    for L in small_lattices + [boolean(3), product(chain(2), m_lattice(3))]:
+        ref = oracles.from_leq_bruteforce(L.leq)
+        assert_same_lattice(L, ref)
+        assert_same_lattice(FiniteLattice.from_leq(L.leq), ref)
+
+
+def random_bounded_order(rng, size):
+    """A bounded order on size >= 2 elements with scrambled labels: a
+    bottom and a top around the transitive closure of a random DAG."""
+    leq = np.eye(size, dtype=bool)
+    leq[0, :] = leq[:, -1] = True
+    density = rng.uniform(0.1, 0.7)
+    leq[1:-1, 1:-1] |= np.triu(rng.random((size - 2, size - 2)) < density)
+    for k in range(size):
+        leq |= leq[:, k, None] & leq[k]
+    perm = rng.permutation(size)
+    return leq[np.ix_(perm, perm)]
+
+
+def test_from_leq_witness_parity():
+    """On random bounded orders, from_leq gives the oracle's tables, or
+    raises NotALattice on the oracle's first pair and kind."""
+    rng = np.random.default_rng(31)
+    seen = Counter()
+    for _ in range(1500):
+        leq = random_bounded_order(rng, int(rng.integers(2, 13)))
+        expected = oracles.from_leq_bruteforce(leq)
+        if isinstance(expected, tuple):
+            with pytest.raises(NotALattice) as err:
+                FiniteLattice.from_leq(leq)
+            assert (err.value.x, err.value.y, err.value.kind) == expected
+            seen[expected[2]] += 1
+            continue
+        assert_same_lattice(FiniteLattice.from_leq(leq), expected)
+        seen["lattice"] += 1
+    # at least one order in eight is not a lattice
+    assert seen["least upper bound"] + seen["greatest lower bound"] >= 180
+    assert min(seen.values()) >= 60
 
 
 def test_sup_meet_preserving_basic(m3):
