@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .diamonds import (
+    _DEFAULT_MAX_ATOMS,
     check_negation_formulas,
     closures_vs_sublattices,
     count_tight_mn,
@@ -278,7 +279,8 @@ def _build_parser():
         if needs.get("n"):
             p.add_argument("--n", type=int, required=True,
                            help="atom count")
-            p.add_argument("--max-atoms", type=int, default=6)
+            p.add_argument("--max-atoms", type=int,
+                           default=_DEFAULT_MAX_ATOMS)
         if needs.get("candidates"):
             p.add_argument("--max-candidates", type=int, default=10 ** 9)
         return p

@@ -20,6 +20,7 @@ from .errors import BudgetExceeded, InvariantViolated, NotDistinctAtoms, \
 from .lattice import (
     EndoMap,
     FiniteLattice,
+    _row_keys,
     _sup_endomap_images,
     _sup_witness,
     is_distributive,
@@ -52,6 +53,8 @@ def tight_count_formula(n):
 
 def _budgeted_m_lattice(n, max_atoms):
     """m_lattice(n), refused with the (n+2)^n estimate if n > max_atoms."""
+    if max_atoms < 0:
+        raise ValidationFailed("max_atoms must be nonnegative")
     if n > max_atoms:
         raise BudgetExceeded((n + 2) ** n, (max_atoms + 2) ** max_atoms,
                              "atom assignments")
@@ -124,7 +127,7 @@ def count_tight_mn(n, enumerate=True, max_atoms=_DEFAULT_MAX_ATOMS):
     families = _tight_families(m_lattice(n))
     table = np.concatenate(families)
     label = np.repeat(np.arange(len(families)), [len(f) for f in families])
-    order = np.lexsort(table.T[::-1])
+    order = np.argsort(_row_keys(table), kind="stable")
     pos, found = _RowIndex(table[order]).locate(rows)
     if not found.all():
         raise InvariantViolated("every tight map of M_n is in a named family",

@@ -527,20 +527,25 @@ def _sup_endomap_images(L, max_candidates=10**9):
     """Image rows of every sup-preserving endomap of L, lexsorted.
 
     Assigns the join-irreducibles one at a time in a linear extension. Each
-    row of F holds, at every x, the join of the images assigned so far to
-    irreducibles below x. The next irreducible j branches a row on every
-    v >= F(j), the join of the images below j, so the rows are exactly the
-    monotone assignments and none repeats. A row is dropped once some
-    incomparable pair x, y whose irreducibles are all assigned has
-    F(x v y) not below F(x) v F(y): F(x) and F(y) are final and F(x v y)
-    only grows, so this is sound early and binary-join preservation at the
-    end. No stage holds more than n^|J| rows.
+    column of G = F.T, an (n, R) array, holds at every x the join of the
+    images assigned so far to irreducibles below x. The next irreducible j
+    branches a column on every v >= F(j), the join of the images below j,
+    so the columns are exactly the monotone assignments and none repeats;
+    the rows of G over the upset of j are then joined with v in place, one
+    flat lookup each. A column is dropped once some incomparable pair x, y
+    whose irreducibles are all assigned has F(x v y) not below
+    F(x) v F(y): F(x) and F(y) are final and F(x v y) only grows, so this
+    is sound early and binary-join preservation at the end. A pair is
+    checked on every column at the step it becomes ready, and later only
+    on the columns where F(x v y) grew at that step. No stage holds more
+    than n^|J| columns. The rows are sorted by their _row_keys.
     """
     irr = L.join_irreducibles
     estimate = L.n ** len(irr)
     if estimate > max_candidates:
         raise BudgetExceeded(estimate, max_candidates)
     n, leq, jt = L.n, L.leq, L.join_table
+    leq_f, jt_f = leq.ravel(), jt.ravel()
     # downset sizes grow strictly along the order: a linear extension
     height = leq.sum(axis=0)
     irr = sorted(irr, key=lambda j: height[j])
@@ -551,16 +556,42 @@ def _sup_endomap_images(L, max_candidates=10**9):
     xs, ys = np.nonzero(np.triu(~(leq | leq.T)))
     pairs = [(int(x), int(y), int(jt[x, y]), max(ready[x], ready[y]))
              for x, y in zip(xs, ys)]
-    F = np.full((1, n), L.bot, dtype=np.int64)
+    G = np.full((n, 1), L.bot, dtype=np.int64)
     for step, j in enumerate(irr):
-        rows, vals = np.nonzero(leq[F[:, j]])
-        F = F[rows]
-        up = leq[j]
-        F[:, up] = jt[F[:, up], vals[:, None]]
-        # a pair needs a look when it just became ready or F(x v y) grew
-        keep = np.ones(len(F), dtype=bool)
+        cols, vals = np.nonzero(leq[G[j]])
+        G = G[:, cols]
+        del cols
+        # the columns where F(x v y) grows (v not <= F(x v y)), for the
+        # pairs ready before this step
+        grew = {xy: np.flatnonzero(~leq_f[vals * n + G[xy]])
+                for xy in {xy for _, _, xy, r in pairs
+                           if r < step and leq[j, xy]}}
+        for u in np.flatnonzero(leq[j]):
+            np.take(jt_f, G[u] * n + vals, out=G[u])
+        del vals
+        keep = np.ones(G.shape[1], dtype=bool)
         for x, y, xy, r in pairs:
-            if r <= step and up[xy]:
-                keep &= leq[F[:, xy], jt[F[:, x], F[:, y]]]
-        F = F[keep]
-    return F[np.lexsort(F.T[::-1])]
+            if r == step:
+                keep &= leq_f[G[xy] * n + jt_f[G[x] * n + G[y]]]
+            elif r < step and xy in grew:
+                c = grew[xy]
+                keep[c] &= leq_f[G[xy, c] * n + jt_f[G[x, c] * n + G[y, c]]]
+        if not keep.all():
+            G = G[:, keep]
+    keys = _row_keys(G.T)
+    del G
+    keys.sort(kind="stable")
+    return keys.view(_row_key_dtype(n)).reshape(-1, n).astype(np.int64)
+
+
+def _row_key_dtype(n):
+    return np.dtype(">u1" if n <= 1 << 8 else ">u2" if n <= 1 << 16
+                    else ">u4")
+
+
+def _row_keys(rows):
+    """One byte string per row of an (..., n) array of element indices
+    below n: the entries as fixed-width big-endian unsigned integers, so
+    that byte order is row order (lexicographic) for every n."""
+    a = np.ascontiguousarray(rows, dtype=_row_key_dtype(rows.shape[-1]))
+    return a.view(f"S{a.shape[-1] * a.itemsize}")[..., 0]

@@ -334,6 +334,8 @@ def powerset_quantale(S, max_elements=20):
     fit in memory. Laws hold by construction and are not re-checked here.
     """
     n = S.n
+    if max_elements < 0:
+        raise ValidationFailed("max_elements must be nonnegative")
     if n > max_elements:
         raise BudgetExceeded(2 ** n, 2 ** max_elements, "powerset carrier")
     N = 1 << n

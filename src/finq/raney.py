@@ -24,6 +24,7 @@ from .lattice import (
     EndoMap,
     FiniteLattice,
     _right_adjoint_batch,
+    _row_keys,
     _sup_endomap_images,
     right_adjoint,
 )
@@ -43,24 +44,26 @@ def _images(L, f):
 
 def _raney_sup_batch(L, imgs):
     """rans over the rows of an (..., n) image array."""
-    out = np.full(imgs.shape, L.bot, dtype=np.int64)
-    jt = L.join_table
-    for t in range(L.n):
-        mask = ~L.leq[:, t]
-        if mask.any():
-            out[..., mask] = jt[out[..., mask], imgs[..., t, None]]
-    return out
+    return _raney_fold(imgs, L.join_table, L.bot, L.leq)
 
 
 def _raney_inf_batch(L, imgs):
     """rani over the rows of an (..., n) image array."""
-    out = np.full(imgs.shape, L.top, dtype=np.int64)
-    mt = L.meet_table
-    for t in range(L.n):
-        mask = ~L.leq[t, :]
-        if mask.any():
-            out[..., mask] = mt[out[..., mask], imgs[..., t, None]]
-    return out
+    return _raney_fold(imgs, L.meet_table, L.top, L.leq.T)
+
+
+def _raney_fold(imgs, table, start, skip):
+    """out(x) = fold of table over f(t) for every t with skip[x, t] false,
+    from start, for each row f of an (..., n) image array. It works on a
+    contiguous (n, R) copy, one flat lookup per pair (x, t)."""
+    n = imgs.shape[-1]
+    cols = np.ascontiguousarray(imgs.reshape(-1, n).T, dtype=np.int64)
+    out = np.full(cols.shape, start, dtype=np.int64)
+    flat = table.ravel()
+    for x in range(n):
+        for t in np.flatnonzero(~skip[x]):
+            np.take(flat, out[x] * n + cols[t], out=out[x])
+    return out.T.reshape(imgs.shape)
 
 
 def raney_sup(f):
@@ -211,28 +214,20 @@ def _meet_closure_batch(L, imgs):
 class _RowIndex:
     """Positions of the rows of a strictly lexsorted (N, n) image array.
 
-    A row's key is its entries as fixed-width big-endian unsigned integers,
-    read as one byte string, so byte order is row order for every n and a
-    batch of lookups is one binary search.
+    Rows are looked up by their _row_keys, whose byte order is row order,
+    so a batch of lookups is one binary search.
     """
 
     def __init__(self, rows):
-        n = rows.shape[1]
-        self._dtype = np.dtype(">u1" if n <= 1 << 8 else
-                               ">u2" if n <= 1 << 16 else ">u4")
-        self._keys = self._key(rows)
+        self._keys = _row_keys(rows)
         bad = np.flatnonzero(self._keys[1:] <= self._keys[:-1])
         if bad.size:
             raise InvariantViolated("carrier rows are strictly lexsorted",
                                     (int(bad[0]),))
 
-    def _key(self, rows):
-        a = np.ascontiguousarray(rows, dtype=self._dtype)
-        return a.view(f"S{a.shape[-1] * a.itemsize}")[..., 0]
-
     def locate(self, rows):
         """Positions of the rows of an (..., n) array, and which exist."""
-        keys = self._key(rows)
+        keys = _row_keys(rows)
         pos = np.minimum(np.searchsorted(self._keys, keys),
                          len(self._keys) - 1)
         return pos, self._keys[pos] == keys

@@ -228,6 +228,16 @@ def test_phase_budget_is_exit_2(capsys, tmp_path):
     assert doc["error"]["type"] == "BudgetExceeded"
 
 
+def test_phase_negative_budget_is_validation_error(capsys, tmp_path):
+    sgp = write(tmp_path, "z2.json", {"n": 2, "op": [[0, 1], [1, 0]]})
+    rel = write(tmp_path, "eq.json",
+                {"rel": [[True, False], [False, True]]})
+    code, doc = run_json(capsys, "phase", "--semigroup", sgp,
+                         "--relation", rel, "--max-powerset", "-1")
+    assert code == 2
+    assert doc["error"]["type"] == "ValidationFailed"
+
+
 def test_represent_verb(capsys, chain3_tight):
     code, doc = run_json(capsys, "represent", "--quantale", chain3_tight)
     assert code == 0
@@ -380,6 +390,18 @@ def test_mn_count_budget_is_exit_2(capsys):
     code, doc = run_json(capsys, "mn-count", "--n", "9")
     assert code == 2
     assert doc["error"]["type"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("verb", ["mn-count", "mn-negations",
+                                  "mn-positivity", "mn-closures"])
+def test_mn_negative_budget_is_validation_error(capsys, verb):
+    # the budget (max_atoms + 2) ** max_atoms is 1.0, 0.0 ** -2 (a
+    # ZeroDivisionError) and -1.0 at these values: each must be refused
+    # before it is computed
+    for atoms in ("-1", "-2", "-3"):
+        code, doc = run_json(capsys, verb, "--n", "2", "--max-atoms", atoms)
+        assert code == 2, atoms
+        assert doc["error"]["type"] == "ValidationFailed", atoms
 
 
 def test_mn_check_verbs(capsys):

@@ -267,6 +267,25 @@ def test_enumerate_counts_closed_form(lattice, count):
     assert len(np.unique(imgs, axis=0)) == count
 
 
+@pytest.mark.parametrize("spec", ["M(4)", "N5", "boolean(3)", "dual(M(4))",
+                                  "chain(5)", "product(chain(2),M(3))"])
+def test_enumerate_sorts_relabelled_lattices(spec):
+    """On M_n the branching order already yields sorted rows; under a
+    seeded relabelling the rows must still come out int64, strictly
+    lexsorted, and equal to the relabelled image set."""
+    L = standard_lattice(spec)
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    new = rng.permutation(L.n)
+    old = np.argsort(new)
+    P = FiniteLattice.from_leq(L.leq[np.ix_(old, old)])
+    got = _sup_endomap_images(P)
+    assert got.dtype == np.int64 and got.shape[1] == L.n
+    rows = [tuple(r) for r in got.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    expected = np.unique(new[_sup_endomap_images(L)][:, old], axis=0)
+    assert np.array_equal(got, expected)
+
+
 def test_enumerate_budget(m3):
     with pytest.raises(BudgetExceeded):
         enumerate_sup_endomaps(m3, max_candidates=10)

@@ -72,6 +72,20 @@ def test_transforms_match_bruteforce(small_lattices):
             assert tuple(raney_inf(f).image) == oracles.rani_bruteforce(L, img)
 
 
+def test_batch_transforms_on_blocks(small_lattices):
+    """The batch kernels on a (3, 7, n) block of random, non-monotone rows,
+    the shape bullet's pair tables pass, row by row against the oracles."""
+    rng = np.random.default_rng(13)
+    for L in [*small_lattices, m_lattice(4).dual()]:
+        block = oracles.random_images(rng, L.n, 21).reshape(3, 7, L.n)
+        sup, inf = _raney_sup_batch(L, block), _raney_inf_batch(L, block)
+        assert sup.shape == inf.shape == block.shape
+        for i, j in itertools.product(range(3), range(7)):
+            img = block[i, j]
+            assert tuple(sup[i, j]) == oracles.rans_bruteforce(L, img)
+            assert tuple(inf[i, j]) == oracles.rani_bruteforce(L, img)
+
+
 def test_transform_outputs_preserve(small_lattices):
     rng = np.random.default_rng(12)
     for L in small_lattices:
