@@ -32,6 +32,21 @@ def _frozen(a):
     return a
 
 
+def _index_array(a, what):
+    """a as an int64 array of element indices. Ragged input and a float,
+    bool or object dtype raise ValidationFailed rather than being truncated
+    or read as 0/1; an int64 ndarray passes through unchanged."""
+    if isinstance(a, np.ndarray) and a.dtype == np.int64:
+        return a
+    try:
+        a = np.asarray(a)
+    except ValueError:
+        raise ValidationFailed(f"{what} is ragged")
+    if a.size and a.dtype.kind not in "iu":
+        raise ValidationFailed(f"{what} must hold integer element indices")
+    return a.astype(np.int64)
+
+
 class FiniteLattice:
     """A finite complete lattice given by its order and operation tables."""
 
@@ -100,14 +115,16 @@ class FiniteLattice:
 
     @cached_property
     def covers(self):
-        """Pairs (x, y) with x < y and nothing strictly between: for each
-        irreducible j <= y, x v j is x or y (else x < x v j < y)."""
-        leq, ar = self.leq, np.arange(self.n)
-        cov = leq & ~np.eye(self.n, dtype=bool)
-        for j in self.join_irreducibles:
-            cov &= ~leq[j] | leq[j][:, None] | \
-                (self.join_table[:, j, None] == ar)
-        return [(int(x), int(y)) for x, y in np.argwhere(cov)]
+        """Pairs (x, y) with x < y and nothing strictly between, row-major."""
+        return [tuple(c) for c in self.cover_array.tolist()]
+
+    @cached_property
+    def cover_array(self):
+        """covers as a read-only (k, 2) int64 array: the strict order
+        minus its square, one float32 matmul."""
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        cov = strict & ~_composed(strict)
+        return _frozen(np.ascontiguousarray(np.argwhere(cov)))
 
     @cached_property
     def join_irreducibles(self):
@@ -270,7 +287,7 @@ class LatticeMap:
     def __init__(self, source, target, image):
         self.source = source
         self.target = target
-        self.image = _frozen(np.asarray(image, dtype=np.int64))
+        self.image = _frozen(_index_array(image, "image"))
         if self.image.shape != (source.n,):
             raise ValidationFailed("image length does not match source size")
         if self.image.size and (

@@ -26,7 +26,14 @@ from .errors import (
     NotInjective,
     ValidationFailed,
 )
-from .lattice import EndoMap, FiniteLattice, LatticeMap, product
+from .lattice import (
+    _BLOCK_ENTRIES,
+    EndoMap,
+    FiniteLattice,
+    LatticeMap,
+    _index_array,
+    product,
+)
 
 
 def _frozen(a):
@@ -36,18 +43,21 @@ def _frozen(a):
 
 class Quantale:
     """A lattice with a multiplication table. Use check_quantale to build a
-    validated instance; this constructor only checks shapes.
+    validated instance; this constructor only checks that the table is a
+    square table of integer element indices.
 
     The residual tables, find_unit, is_positive_quantale and the shift
     relation of check_frobenius assume bottom absorption and both
     distributive laws (associativity is not needed). Every quantale the
     library builds satisfies them: check_quantale, the tight, bullet,
-    quotient and powerset quantales, and chu.
+    quotient and powerset quantales, and chu. Both residual tables come
+    from one _residual_fold; a Quantale returned by check_quantale already
+    holds them, as that fold is its distributivity check.
     """
 
     def __init__(self, lattice, mult):
         self.lattice = lattice
-        self.mult = _frozen(np.asarray(mult, dtype=np.int64))
+        self.mult = _frozen(_index_array(mult, "multiplication table"))
         n = lattice.n
         if self.mult.shape != (n, n):
             raise ValidationFailed("multiplication table has wrong shape")
@@ -83,38 +93,58 @@ class Quantale:
         return self._residuals()[1]
 
     def _residuals(self):
-        """Both residual tables in one pass over the join-irreducibles J.
+        """Both residual tables, from one _residual_fold."""
+        self._keep_residuals(*_residual_fold(self.lattice, self.mult))
+        return self.left_residual_table, self.right_residual_table
 
-        By distributivity and bottom absorption, {y | x*y <= z} is closed
-        under joins and contains every irreducible below its join, so
-        x\\z = join of {j in J | x*j <= z} and z/y = join of
-        {j in J | j*y <= z}: one N x N step per irreducible. Both tables
-        are cached together; a table already cached is kept.
-        """
-        L, mult = self.lattice, self.mult
-        leq, jt = L.leq, L.join_table
-        lres = np.full((self.n, self.n), L.bot, dtype=np.int64)
-        rres_t = lres.copy()                    # rres_t[y, z] = z/y
-        for j in L.join_irreducibles:
-            col = jt[:, j].copy()
-            np.copyto(lres, col[lres], where=leq[mult[:, j], :])
-            np.copyto(rres_t, col[rres_t], where=leq[mult[j, :], :])
-        cache = self.__dict__
-        cache.setdefault("left_residual_table", _frozen(lres))
-        cache.setdefault("right_residual_table",
-                         _frozen(np.ascontiguousarray(rres_t.T)))
-        return cache["left_residual_table"], cache["right_residual_table"]
+    def _keep_residuals(self, lres, rres):
+        """Cache both tables of _residual_fold, frozen."""
+        self.__dict__.update(left_residual_table=_frozen(lres),
+                             right_residual_table=_frozen(rres))
+
+
+def _residual_fold(lattice, mult):
+    """(lres, rres) with lres[x, z] = join of {j in J | x*j <= z} and
+    rres[z, y] = join of {j in J | j*y <= z}: one step per join-irreducible
+    j, in row blocks of x and of y.
+
+    Under bottom absorption and distributivity {y | x*y <= z} is closed
+    under joins and holds every irreducible below its join, so these are
+    the residuals x\\z and z/y. For any table, x*- preserves all joins iff
+    it is monotone and x*lres[x, z] <= z for every z (then lres[x, z] is
+    the largest y with x*y <= z, a right adjoint), and likewise -*y with
+    rres[z, y]*y <= z: check_quantale accepts on that.
+    """
+    leq, jt, n, bot = lattice.leq, lattice.join_table, lattice.n, lattice.bot
+    steps = [(jt[:, j].copy(), mult[:, j], mult[j, :])
+             for j in lattice.join_irreducibles]
+    lres = np.full((n, n), bot, dtype=np.int64)
+    rres = np.empty_like(lres)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for b in range(0, n, step):
+        rows = slice(b, b + step)
+        left = lres[rows]
+        right = np.full_like(left, bot)         # right[y - b, z] = z/y
+        for col, xj, jy in steps:
+            np.copyto(left, col[left], where=leq[xj[rows]])
+            np.copyto(right, col[right], where=leq[jy[rows]])
+        rres[:, rows] = right.T
+    return lres, rres
 
 
 def check_quantale(lattice, mult):
-    """Validate the quantale laws and return the Quantale.
+    """Validate the quantale laws and return the Quantale, with both
+    residual tables already computed.
 
-    Accepts through the join-irreducibles J, every element being a join of
-    the irreducibles below it: bottom absorption on both sides, then
-    x*(y v j) = x*y v x*j and (y v j)*x = y*x v j*x for all x, y and every
-    j in J (by induction on a decomposition of the second join argument),
-    then associativity on J x J x J (with the laws above both sides are
-    join-preserving in each argument). That is N^2 |J| work instead of N^3.
+    Accepts through the residual adjunction, cheapest law first: bottom
+    absorption on both sides; associativity on J x J x J for the
+    join-irreducibles J; x*- and -*y monotone, checked on the covers;
+    then one _residual_fold and its counits x*(x\\z) <= z and
+    (z/y)*y <= z for all x, y, z. A monotone map with such a right adjoint
+    preserves all joins (binary and empty), so both distributive laws
+    hold; then both sides of associativity are join-preserving in each
+    argument, and every element is a join of irreducibles. That is
+    N^2 |J| work instead of N^3, and the fold's tables are the residuals.
 
     When any of these fails, _first_law_violation rescans in lexicographic
     index order, so the error type and the first witness do not depend on
@@ -123,25 +153,49 @@ def check_quantale(lattice, mult):
     join).
     """
     Q = Quantale(lattice, mult)
-    if not _laws_hold_on_irreducibles(lattice, Q.mult):
+    tables = _laws_hold_on_irreducibles(lattice, Q.mult)
+    if not tables:
         _first_law_violation(lattice, Q.mult)
+    Q._keep_residuals(*tables)
     return Q
 
 
 def _laws_hold_on_irreducibles(lattice, mult):
-    """The accept path of check_quantale; one N x N array per irreducible."""
-    jt, bot = lattice.join_table, lattice.bot
+    """The accept path of check_quantale: _residual_fold's (lres, rres)
+    if every law holds, else None."""
+    n, bot = lattice.n, lattice.bot
     if not ((mult[bot, :] == bot).all() and (mult[:, bot] == bot).all()):
-        return False
+        return None
     irr = np.asarray(lattice.join_irreducibles, dtype=np.int64)
-    for j in irr:
-        if not np.array_equal(mult[:, jt[:, j]], jt[mult, mult[:, j, None]]):
-            return False
-        if not np.array_equal(mult[jt[:, j], :], jt[mult, mult[None, j, :]]):
-            return False
     mJ = mult[np.ix_(irr, irr)]
-    return all(np.array_equal(mult[mult[a, irr][:, None], irr], mult[a, mJ])
-               for a in irr)
+    if not all(np.array_equal(mult[mult[a, irr][:, None], irr], mult[a, mJ])
+               for a in irr):
+        return None
+    if not _monotone_on_covers(lattice, mult):
+        return None
+    lres, rres = _residual_fold(lattice, mult)
+    leq_f, mult_f, ar = lattice.leq.ravel(), mult.ravel(), np.arange(n)
+    # x*(x\z) <= z and (z/y)*y <= z, in row blocks of x and of z
+    if not _all_in_blocks(n, n, lambda s: (
+            leq_f[mult_f[ar[s, None] * n + lres[s]] * n + ar].all()
+            and leq_f[mult_f[rres[s] * n + ar] * n + ar[s, None]].all())):
+        return None
+    return lres, rres
+
+
+def _monotone_on_covers(lattice, mult):
+    """a*y <= b*y and y*a <= y*b for every cover (a, b) and every y."""
+    n, cov, leq_f = lattice.n, lattice.cover_array, lattice.leq.ravel()
+    return all(_all_in_blocks(len(cov), n, lambda s, t=t: leq_f[
+        t[cov[s, 0]] * n + t[cov[s, 1]]].all())
+        for t in (mult, np.ascontiguousarray(mult.T)))
+
+
+def _all_in_blocks(count, width, check):
+    """Whether check(rows) holds for every slice of range(count), in
+    blocks of at most _BLOCK_ENTRIES // width rows of width entries."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return all(check(slice(b, b + step)) for b in range(0, count, step))
 
 
 def _first_law_violation(lattice, mult):
@@ -274,8 +328,8 @@ class SerrePairReport:
 
 
 def _image_array(m, n):
-    img = m.image if isinstance(m, LatticeMap) else np.asarray(m)
-    img = np.asarray(img, dtype=np.int64)
+    img = m.image if isinstance(m, LatticeMap) else \
+        _index_array(m, "negation map")
     if img.shape != (n,) or (img.size and (img.min() < 0 or img.max() >= n)):
         raise ValidationFailed("negation map has wrong shape or range")
     return img

@@ -2,10 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from finq.lattice import boolean, chain, m_lattice, n5
+
+# the same examples on every run and no example database: tier-1 stays
+# deterministic; each test keeps its own max_examples
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

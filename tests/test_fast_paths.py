@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import finq
@@ -80,6 +82,26 @@ def test_check_quantale_failures_of_every_kind():
                     "BottomNotAbsorbed"}
 
 
+@pytest.mark.parametrize("spec, mult", [
+    # bottom absorbed, associative on J^3, both counits hold; 1*- is not
+    # monotone (1*1 = 1 > 0 = 1*2)
+    ("chain(3)", [[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+    # monotone, bottom absorbed, associative; only the left counit fails
+    # (x = 2: 2\0 = 3 and 2*3 = 1)
+    ("boolean(2)", [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]]),
+    # its transpose: only the right counit fails
+    ("boolean(2)", [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]]),
+])
+def test_each_accept_check_rejects_on_its_own(spec, mult):
+    """Tables that pass every accept check but one: monotonicity on the
+    covers, the left counit x*(x\\z) <= z, the right counit (z/y)*y <= z."""
+    L = standard_lattice(spec)
+    mult = np.asarray(mult, dtype=np.int64)
+    expected = oracles.first_law_violation(L, mult)
+    assert expected is not None
+    assert outcome(L, mult) == expected
+
+
 def test_law_scan_that_finds_nothing_is_an_invariant_violation(monkeypatch):
     monkeypatch.setattr(finq.quantale, "_laws_hold_on_irreducibles",
                         lambda lattice, mult: False)
@@ -98,6 +120,47 @@ def test_residual_tables_match_bruteforce(carriers, spec):
                 oracles.residual_left_bruteforce(Q, x, z)
             assert fresh.right_residual_table[x, z] == \
                 oracles.residual_right_bruteforce(Q, x, z)
+
+
+@pytest.mark.parametrize("spec", CARRIER_SPECS)
+def test_check_quantale_keeps_its_residual_fold(carriers, spec):
+    """The Quantale check_quantale returns already holds both residual
+    tables, read-only and equal to a fresh fold and to the definitions."""
+    base = carriers[spec].quantale
+    Q = check_quantale(base.lattice, base.mult.copy())
+    assert {"left_residual_table", "right_residual_table"} <= set(vars(Q))
+    fresh = finq.Quantale(Q.lattice, Q.mult)
+    for name, brute in (("left_residual_table",
+                         oracles.residual_left_bruteforce),
+                        ("right_residual_table",
+                         oracles.residual_right_bruteforce)):
+        table = getattr(Q, name)
+        assert np.array_equal(table, getattr(fresh, name))
+        assert not table.flags.writeable
+        assert not getattr(fresh, name).flags.writeable
+        assert table.tolist() == [[brute(Q, a, b) for b in range(Q.n)]
+                                  for a in range(Q.n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_quantale_matches_oracle_on_random_changes(
+        small_lattices, carriers, data):
+    """1-3 drawn entries of a meet, zero, join or tight multiplication
+    table changed: the outcome, error type and witness of check_quantale
+    are those of the full scan."""
+    bases = [(L, table) for L in small_lattices
+             for table in (L.meet_table, np.zeros((L.n, L.n), dtype=np.int64),
+                           L.join_table)]
+    bases += [(T.quantale.lattice, T.quantale.mult)
+              for T in carriers.values()]
+    L, base = data.draw(st.sampled_from(bases))
+    mult = base.copy()
+    entry = st.integers(0, L.n - 1)
+    for x, y, v in data.draw(st.lists(st.tuples(entry, entry, entry),
+                                      min_size=1, max_size=3)):
+        mult[x, y] = v
+    assert outcome(L, mult) == oracles.first_law_violation(L, mult)
 
 
 @pytest.mark.parametrize("spec", CARRIER_SPECS)

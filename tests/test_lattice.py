@@ -361,6 +361,19 @@ def test_endomap_equality_and_compose(m3):
         EndoMap(m3, [0, 1, 2, 3, 9])
 
 
+@pytest.mark.parametrize("image", [
+    [0, 1.9], np.array([0.0, 1.0]), [False, True],
+    np.array([0, 1], dtype=object), [[0], [1, 1]],
+])
+def test_maps_reject_non_integer_images(image):
+    """A float, bool or object image or ragged input is rejected, not
+    truncated to an integer image."""
+    with pytest.raises(ValidationFailed):
+        EndoMap(chain(2), image)
+    with pytest.raises(ValidationFailed):
+        LatticeMap(chain(2), chain(3), image)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_property_join_meet_laws(data):

@@ -14,6 +14,7 @@ from finq.errors import (
     NotDistributive,
     NotDualizing,
     NotInjective,
+    ValidationFailed,
 )
 from finq.lattice import (
     EndoMap,
@@ -100,6 +101,30 @@ def test_check_quantale_bottom_witness():
     mult = np.array([[0, 1], [1, 1]], dtype=np.int64)
     with pytest.raises((BottomNotAbsorbed, NotDistributive)):
         check_quantale(L, mult)
+
+
+@pytest.mark.parametrize("mult", [
+    [[0, 0], [0, 1.7]],
+    np.array([[0, 0], [0, 1.0]]),
+    [[False, False], [False, True]],
+    np.array([[0, 0], [0, 1]], dtype=object),
+    [[0, 0], [0]],
+])
+def test_quantale_rejects_non_integer_tables(mult):
+    """A float, bool or object table or ragged rows are rejected, not
+    truncated to an integer table."""
+    for make in (check_quantale, Quantale):
+        with pytest.raises(ValidationFailed):
+            make(chain(2), mult)
+
+
+def test_check_frobenius_rejects_non_integer_maps():
+    Q = check_quantale(chain(2), chain(2).meet_table)
+    for bad in ([1, 0.2], [True, False], [[1], []]):
+        with pytest.raises(ValidationFailed):
+            check_frobenius(Q, bad, [1, 0])
+        with pytest.raises(ValidationFailed):
+            check_frobenius(Q, [1, 0], bad)
 
 
 def test_residuals_trivial_all_top():
