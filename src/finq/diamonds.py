@@ -20,6 +20,8 @@ from .errors import BudgetExceeded, InvariantViolated, NotDistinctAtoms, \
 from .lattice import (
     EndoMap,
     FiniteLattice,
+    _endo_image,
+    _index_array,
     _row_keys,
     _sup_endomap_images,
     _sup_witness,
@@ -34,7 +36,6 @@ from .raney import (
     _a_rows,
     _c_rows,
     _generator_rows,
-    _images,
     _star_batch,
     _tight_mask,
     tight_quantale,
@@ -149,7 +150,7 @@ def tight_profile_mn(n, f):
     most two atoms lie in the image.
     """
     L = m_lattice(n)
-    img = _images(L, f)
+    img = _endo_image(f, L, "map")
     witness = _sup_witness(L, L, img[None, :])
     if witness is not None:
         raise NotSupPreserving(witness)
@@ -170,14 +171,15 @@ def f_gen(n, x1, y1, x2, y2):
     """The tight map bot |-> bot, x1 |-> y1, x2 |-> y2, all else |-> top,
     for distinct source atoms x1, x2 and distinct value atoms y1, y2."""
     L = m_lattice(n)
-    for v in (x1, y1, x2, y2):
+    params = _index_array([[x1, y1, x2, y2]], "f_gen atoms", (1, 4), None)
+    for v in params[0].tolist():
         if not 1 <= v <= n:
             raise NotDistinctAtoms(f"{v} is not an atom of M_{n}")
     if x1 == x2:
         raise NotDistinctAtoms("source atoms coincide")
     if y1 == y2:
         raise NotDistinctAtoms("value atoms coincide")
-    return EndoMap(L, _f_gen_rows(L, np.asarray([[x1, y1, x2, y2]]))[0])
+    return EndoMap(L, _f_gen_rows(L, params)[0])
 
 
 def _f_gen_rows(L, params):

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import ParseError, ValidationFailed
-from .lattice import EndoMap, build_lattice
+from .lattice import EndoMap, _index_array, build_lattice
 from .nuclei import BinaryRelation, FiniteSemigroup
 
 
@@ -50,26 +50,23 @@ def _require(d, keys, what):
             raise ParseError(f"{what} is missing the {key!r} field")
 
 
-def _int_array(value, shape, what, upper):
-    """value as an int64 array of the given shape with entries in
-    [0, upper); floats, booleans, strings and ragged rows are rejected,
-    not converted. numpy reads a boolean among integers as 0 or 1, so the
-    entries of an integer table are scanned for booleans once."""
+def _parsed(check, *args):
+    """check(*args), a library boundary check, with its ValidationFailed
+    raised again as the ParseError of a malformed file."""
     try:
-        arr = np.asarray(value)
-    except ValueError:
-        arr = None
-    if arr is None or arr.shape != shape:
-        raise ParseError(f"{what} must have shape {shape}")
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ParseError(f"{what} must hold integers only")
-    rows = [value] if arr.ndim == 1 else value
-    if not isinstance(value, np.ndarray) and any(
-            isinstance(v, bool) for row in rows for v in row):
-        raise ParseError(f"{what} must hold integers only")
-    if arr.size and (arr.min() < 0 or arr.max() >= upper):
-        raise ParseError(f"{what} contains an out-of-range element index")
-    return arr.astype(np.int64, copy=False)
+        return check(*args)
+    except ValidationFailed as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _labels(d):
+    """The optional labels field, a list of strings; the constructors check
+    that there is one label per element."""
+    labels = d.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(
+            isinstance(v, str) for v in labels)):
+        raise ParseError("labels must be a list of strings")
+    return labels
 
 
 def lattice_to_dict(L):
@@ -81,7 +78,7 @@ def lattice_to_dict(L):
 
 def lattice_from_dict(d):
     _require(d, ("n", "covers"), "lattice")
-    return build_lattice(d["covers"], d["n"], d.get("labels"))
+    return build_lattice(d["covers"], d["n"], _labels(d))
 
 
 def quantale_to_dict(Q, lneg=None, rneg=None):
@@ -97,15 +94,16 @@ def quantale_from_dict(d):
     """Returns (lattice, mult, lneg, rneg); laws are not checked here."""
     _require(d, ("lattice", "mult"), "quantale")
     L = lattice_from_dict(d["lattice"])
-    mult = _int_array(d["mult"], (L.n, L.n), "multiplication table", L.n)
-    lneg = _int_array(d["lneg"], (L.n,), "lneg", L.n) if "lneg" in d else None
-    rneg = _int_array(d["rneg"], (L.n,), "rneg", L.n) if "rneg" in d else None
+    n = L.n
+    mult = _parsed(_index_array, d["mult"], "multiplication table", (n, n), n)
+    lneg, rneg = (_parsed(_index_array, d[key], key, (n,), n)
+                  if key in d else None for key in ("lneg", "rneg"))
     return L, mult, lneg, rneg
 
 
 def endomap_from_dict(d, L):
     _require(d, ("image",), "endomap")
-    return EndoMap(L, _int_array(d["image"], (L.n,), "endomap image", L.n))
+    return _parsed(EndoMap, L, d["image"])
 
 
 def endomap_to_dict(f):
@@ -117,16 +115,13 @@ def semigroup_from_dict(d):
     n = d["n"]
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationFailed("semigroup size must be an integer")
-    op = _int_array(d["op"], (n, n), "semigroup operation", n)
-    return FiniteSemigroup(n, op, tuple(d["labels"]) if "labels" in d
-                           else None)
+    op = _parsed(_index_array, d["op"], "semigroup operation", (n, n), n)
+    return FiniteSemigroup(n, op, _labels(d))
 
 
 def relation_from_dict(d):
     _require(d, ("rel",), "relation")
     rows = d["rel"]
-    n = len(rows)
-    arr = np.asarray(rows, dtype=bool)
-    if arr.shape != (n, n):
-        raise ParseError("relation must be a square boolean matrix")
-    return BinaryRelation(n, arr)
+    if not isinstance(rows, list):
+        raise ParseError("relation must be a list of rows")
+    return _parsed(BinaryRelation, len(rows), rows)

@@ -32,19 +32,50 @@ def _frozen(a):
     return a
 
 
-def _index_array(a, what):
-    """a as an int64 array of element indices. Ragged input and a float,
-    bool or object dtype raise ValidationFailed rather than being truncated
-    or read as 0/1; an int64 ndarray passes through unchanged."""
-    if isinstance(a, np.ndarray) and a.dtype == np.int64:
-        return a
+def _index_array(a, what, shape, upper):
+    """a as an int64 array of element indices: the one check of every index
+    table, map image and index list a caller hands finq. Ragged input, a
+    float, bool or object dtype, a bool among the integers of a list (numpy
+    reads it as 0 or 1), a shape other than shape and an entry outside
+    0..upper-1 raise ValidationFailed; None skips the shape or range check.
+    An int64 ndarray is returned as it is, with no copy and no scan."""
+    arr = _array(a, what, shape)
+    if arr.size and (arr.dtype.kind not in "iu" or (
+            not isinstance(a, np.ndarray) and _holds_bool(a, arr.ndim))):
+        raise ValidationFailed(f"{what} must hold integer element indices")
+    arr = arr.astype(np.int64, copy=False)
+    if upper is not None and arr.size and (
+            arr.min() < 0 or arr.max() >= upper):
+        raise ValidationFailed(
+            f"{what} holds an element index outside 0..{upper - 1}")
+    return arr
+
+
+def _bool_table(a, what, shape):
+    """a as a bool array, checked like _index_array: the one check of
+    orders and relations. Only true/false entries are accepted."""
+    arr = _array(a, what, shape)
+    if arr.size and arr.dtype != bool:
+        raise ValidationFailed(f"{what} must hold true/false entries only")
+    return arr.astype(bool, copy=False)
+
+
+def _array(a, what, shape):
     try:
-        a = np.asarray(a)
+        arr = np.asarray(a)
     except ValueError:
         raise ValidationFailed(f"{what} is ragged")
-    if a.size and a.dtype.kind not in "iu":
-        raise ValidationFailed(f"{what} must hold integer element indices")
-    return a.astype(np.int64)
+    if shape is not None and arr.shape != shape:
+        raise ValidationFailed(f"{what} must have shape {shape}")
+    return arr
+
+
+def _holds_bool(a, ndim):
+    """Whether a nested sequence with ndim levels has a bool entry, by one
+    set of entry types per innermost row (a bool scalar has a bool dtype)."""
+    if ndim > 1:
+        return any(_holds_bool(row, ndim - 1) for row in a)
+    return ndim == 1 and not {bool, np.bool_}.isdisjoint(map(type, a))
 
 
 class FiniteLattice:
@@ -52,14 +83,15 @@ class FiniteLattice:
 
     def __init__(self, n, leq, join_table, meet_table, bot, top, labels=None):
         self.n = int(n)
-        self.leq = _frozen(np.asarray(leq, dtype=bool))
-        self.join_table = _frozen(np.asarray(join_table, dtype=np.int64))
-        self.meet_table = _frozen(np.asarray(meet_table, dtype=np.int64))
-        self.bot = int(bot)
-        self.top = int(top)
+        square = (self.n, self.n)
+        self.leq = _frozen(_bool_table(leq, "order table", square))
+        self.join_table = _frozen(
+            _index_array(join_table, "join table", square, self.n))
+        self.meet_table = _frozen(
+            _index_array(meet_table, "meet table", square, self.n))
+        self.bot, self.top = _index_array(
+            [bot, top], "bottom and top", (2,), self.n).tolist()
         self.labels = tuple(labels) if labels is not None else None
-        if self.leq.shape != (self.n, self.n):
-            raise ValidationFailed("order table has wrong shape")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValidationFailed("label count does not match element count")
 
@@ -70,7 +102,7 @@ class FiniteLattice:
         axioms and bounds, then folds over the join-irreducibles J in
         O(|J| n^2) (_lattice_tables). NotALattice names the first index pair
         x <= y, row-major, with no lub or, checked second, no glb."""
-        leq = np.asarray(leq, dtype=bool)
+        leq = _bool_table(leq, "order table", None)
         n = leq.shape[0]
         if leq.shape != (n, n) or n == 0:
             raise ValidationFailed("order table must be square and nonempty")
@@ -94,9 +126,9 @@ class FiniteLattice:
         return self.n
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteLattice)
-                and self.n == other.n
-                and np.array_equal(self.leq, other.leq))
+        return self is other or (isinstance(other, FiniteLattice)
+                                 and self.n == other.n
+                                 and np.array_equal(self.leq, other.leq))
 
     def __hash__(self):
         return hash((self.n, self.leq.tobytes()))
@@ -226,18 +258,10 @@ def build_lattice(covers, n, labels=None):
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0:
         raise ValidationFailed("element count must be a positive integer")
     n = int(n)
-    try:
-        pairs = np.asarray(covers)
-    except ValueError:
+    pairs = _index_array(covers, "cover list", None, n)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValidationFailed("covers must be pairs of element indices")
-    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2
-                       or pairs.dtype.kind not in "iu"):
-        raise ValidationFailed("covers must be pairs of element indices")
-    pairs = pairs.reshape(-1, 2).astype(np.int64)
-    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-    if bad.size:
-        x, y = pairs[bad[0]]
-        raise ValidationFailed(f"cover ({x}, {y}) out of range for n={n}")
+    pairs = pairs.reshape(-1, 2)
     closure = np.zeros((n, n), dtype=bool)
     closure[pairs[:, 0], pairs[:, 1]] = True
     # square the relation until nothing changes: log2(n) matmuls at most
@@ -287,12 +311,8 @@ class LatticeMap:
     def __init__(self, source, target, image):
         self.source = source
         self.target = target
-        self.image = _frozen(_index_array(image, "image"))
-        if self.image.shape != (source.n,):
-            raise ValidationFailed("image length does not match source size")
-        if self.image.size and (
-                self.image.min() < 0 or self.image.max() >= target.n):
-            raise ValidationFailed("image contains an invalid element index")
+        self.image = _frozen(
+            _index_array(image, "image", (source.n,), target.n))
 
     def __call__(self, x):
         return int(self.image[x])
@@ -332,6 +352,16 @@ class EndoMap(LatticeMap):
     @property
     def lattice(self):
         return self.source
+
+
+def _endo_image(f, L, what):
+    """The image array of f: an endomap of L, or an index array taken as
+    the image of one and checked by _index_array."""
+    if isinstance(f, LatticeMap):
+        if f.source != L or f.target != L:
+            raise ValidationFailed(f"{what} lives on a different lattice")
+        return f.image
+    return _index_array(f, what, (L.n,), L.n)
 
 
 def identity_map(L):

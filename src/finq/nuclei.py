@@ -24,7 +24,15 @@ from .errors import (
     NotWeaklySymmetric,
     ValidationFailed,
 )
-from .lattice import EndoMap, FiniteLattice, boolean
+from .lattice import (
+    EndoMap,
+    FiniteLattice,
+    _bool_table,
+    _endo_image,
+    _frozen,
+    _index_array,
+    boolean,
+)
 from .quantale import FrobeniusStructure, Quantale, check_frobenius
 
 
@@ -36,11 +44,9 @@ class Nucleus:
     image: np.ndarray
 
     def __post_init__(self):
-        img = np.asarray(self.image, dtype=np.int64)
-        if img.shape != (self.quantale.n,):
-            raise ValidationFailed("nucleus image has wrong shape")
-        img.setflags(write=False)
-        object.__setattr__(self, "image", img)
+        n = self.quantale.n
+        object.__setattr__(self, "image", _frozen(
+            _index_array(self.image, "nucleus image", (n,), n)))
 
     def __call__(self, x):
         return int(self.image[x])
@@ -66,13 +72,14 @@ class NucleusReport(NamedTuple):
 def is_nucleus(Q, j):
     """Check the closure-operator laws and lax multiplicativity of j.
 
-    Returns a report carrying the first violated law and a witness. When the
-    laws hold, the equivalent split form x*j(y) <= j(x*y), j(x)*y <= j(x*y)
-    is verified as well.
+    Returns a report carrying the first violated law and a witness; an
+    image of the wrong length or range is the law "shape". When the laws
+    hold, the equivalent split form x*j(y) <= j(x*y), j(x)*y <= j(x*y) is
+    verified as well.
     """
     n, leq = Q.n, Q.lattice.leq
-    img = j.image if isinstance(j, (Nucleus, EndoMap)) else \
-        np.asarray(j, dtype=np.int64)
+    img = _index_array(j.image if isinstance(j, (Nucleus, EndoMap)) else j,
+                       "nucleus image", None, None)
     if img.shape != (n,) or img.min() < 0 or img.max() >= n:
         return NucleusReport(False, "shape", None)
     ar = np.arange(n)
@@ -130,12 +137,12 @@ def quotient_quantale(Q, j):
     multiplication is x *_j y = j(x * y). The projection j: Q -> Q_j is
     checked to be a surjective quantale homomorphism.
     """
-    rep = is_nucleus(Q, j)
+    nuc = j if isinstance(j, Nucleus) else \
+        Nucleus(Q, j.image if isinstance(j, EndoMap) else j)
+    rep = is_nucleus(Q, nuc)
     if not rep:
         raise NotANucleus(rep.law, rep.witness)
-    img = j.image if isinstance(j, (Nucleus, EndoMap)) else \
-        np.asarray(j, dtype=np.int64)
-    nuc = j if isinstance(j, Nucleus) else Nucleus(Q, img)
+    img = nuc.image
 
     ar = np.arange(Q.n)
     closed = tuple(int(x) for x in ar[img == ar])
@@ -178,9 +185,8 @@ def serre_gc_quotient(Q, l, r):
                     or rep.witnesses.get("antitone_lneg") \
                     or rep.witnesses.get("antitone_rneg")
                 raise NotSerreGC(name, wit)
-    from .quantale import _image_array
-    l_arr = _image_array(l, Q.n)
-    r_arr = _image_array(r, Q.n)
+    l_arr = _endo_image(l, Q.lattice, "l")
+    r_arr = _endo_image(r, Q.lattice, "r")
     j_img = l_arr[r_arr]
     nrep = is_nucleus(Q, j_img)
     if not nrep:
@@ -214,10 +220,8 @@ def lift_serre(Q, j, l, r):
     """
     quot = j if isinstance(j, QuotientQuantale) else \
         quotient_quantale(Q, j)
-    qn = quot.quantale.n
-    from .quantale import _image_array
-    l_j = _image_array(l, qn)
-    r_j = _image_array(r, qn)
+    l_j = _endo_image(l, quot.quantale.lattice, "l")
+    r_j = _endo_image(r, quot.quantale.lattice, "r")
     rep = check_frobenius(quot.quantale, l_j, r_j)
     for name in ("antitone", "is_inverse_pair", "shift_holds"):
         if not getattr(rep, name):
@@ -251,9 +255,8 @@ def lift_serre(Q, j, l, r):
 
 def representable_flags(Q, l, r):
     """Search for an element z with r(x) = x\\z and l(x) = z/x for all x."""
-    from .quantale import _image_array
-    l_arr = _image_array(l, Q.n)
-    r_arr = _image_array(r, Q.n)
+    l_arr = _endo_image(l, Q.lattice, "l")
+    r_arr = _endo_image(r, Q.lattice, "r")
     lres = Q.left_residual_table
     rres = Q.right_residual_table
     found = None
@@ -282,20 +285,19 @@ class FiniteSemigroup:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
-        op = np.asarray(self.op, dtype=np.int64)
-        if op.shape != (self.n, self.n):
-            raise ValidationFailed("semigroup table has wrong shape")
-        if op.size and (op.min() < 0 or op.max() >= self.n):
-            raise ValidationFailed("semigroup table entry out of range")
+        n = self.n
+        op = _index_array(self.op, "semigroup table", (n, n), n)
         bad = np.argwhere(op[op] != op[:, op])
         if bad.size:
             x, y, z = map(int, bad[0])
             raise ValidationFailed(
                 f"operation not associative at ({x}, {y}, {z})")
-        op.setflags(write=False)
-        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "op", _frozen(op))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
+            if len(self.labels) != n:
+                raise ValidationFailed(
+                    "label count does not match element count")
 
 
 def cyclic_group(k):
@@ -316,11 +318,8 @@ class BinaryRelation:
     rel: np.ndarray
 
     def __post_init__(self):
-        rel = np.asarray(self.rel, dtype=bool)
-        if rel.shape != (self.n, self.n):
-            raise ValidationFailed("relation table has wrong shape")
-        rel.setflags(write=False)
-        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "rel", _frozen(_bool_table(
+            self.rel, "relation table", (self.n, self.n))))
 
 
 _POWERSET_TABLE_BUDGET = 2048

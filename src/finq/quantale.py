@@ -29,16 +29,11 @@ from .errors import (
 from .lattice import (
     _BLOCK_ENTRIES,
     EndoMap,
-    FiniteLattice,
-    LatticeMap,
+    _endo_image,
+    _frozen,
     _index_array,
     product,
 )
-
-
-def _frozen(a):
-    a.setflags(write=False)
-    return a
 
 
 class Quantale:
@@ -57,12 +52,9 @@ class Quantale:
 
     def __init__(self, lattice, mult):
         self.lattice = lattice
-        self.mult = _frozen(_index_array(mult, "multiplication table"))
         n = lattice.n
-        if self.mult.shape != (n, n):
-            raise ValidationFailed("multiplication table has wrong shape")
-        if self.mult.min() < 0 or self.mult.max() >= n:
-            raise ValidationFailed("multiplication table entry out of range")
+        self.mult = _frozen(
+            _index_array(mult, "multiplication table", (n, n), n))
 
     @property
     def n(self):
@@ -327,14 +319,6 @@ class SerrePairReport:
         }
 
 
-def _image_array(m, n):
-    img = m.image if isinstance(m, LatticeMap) else \
-        _index_array(m, "negation map")
-    if img.shape != (n,) or (img.size and (img.min() < 0 or img.max() >= n)):
-        raise ValidationFailed("negation map has wrong shape or range")
-    return img
-
-
 def check_frobenius(Q, lneg, rneg):
     """Evaluate every Serre-pair diagnostic for (lneg, rneg).
 
@@ -351,8 +335,8 @@ def check_frobenius(Q, lneg, rneg):
     rneg(x)/y.
     """
     n, leq = Q.n, Q.lattice.leq
-    l = _image_array(lneg, n)
-    r = _image_array(rneg, n)
+    l = _endo_image(lneg, Q.lattice, "lneg")
+    r = _endo_image(rneg, Q.lattice, "rneg")
     ar = np.arange(n)
     witnesses = {}
 
@@ -547,33 +531,25 @@ def chu(Q, validate=True):
 
     (x1,x2) * (y1,y2) = (x1*y1, y1\\x2 ^ y2/x1) with the swap (x1,x2) |->
     (x2,x1) as both negations; the result is a Girard quantale, unital iff Q
-    is, with unit (u, top). With validate, the product carrier goes through
-    check_quantale and a swap pair that is not Frobenius raises
-    InvariantViolated.
+    is, with unit (u, top). With validate, the result is the Quantale that
+    check_quantale returns, residual tables included, and a swap pair that
+    is not Frobenius raises InvariantViolated; without, the residual tables
+    are folded on first use.
     """
     L = Q.lattice
     n = L.n
     carrier = product(L, L.dual())
     lres, rres = Q.left_residual_table, Q.right_residual_table
-    mt, mult = L.meet_table, Q.mult
 
-    second = mt[lres.T[None, :, :, None], rres.T[:, None, None, :]]
-    comp = (mult[:, None, :, None] * n + second).reshape(n * n, n * n)
+    second = L.meet_table[lres.T[None, :, :, None], rres.T[:, None, None, :]]
+    comp = (Q.mult[:, None, :, None] * n + second).reshape(n * n, n * n)
 
     ar2 = np.arange(n * n)
     swap = (ar2 % n) * n + ar2 // n
 
-    CQ = Quantale(carrier, comp)
-    first_l = mt[lres[:, None, :, None], rres[None, :, None, :]]
-    CQ.__dict__["left_residual_table"] = _frozen(
-        (first_l * n + mult.T[:, None, None, :]).reshape(n * n, n * n))
-    first_r = mt[rres[:, None, :, None], lres[None, :, None, :]]
-    CQ.__dict__["right_residual_table"] = _frozen(
-        (first_r * n + mult.T[None, :, :, None]).reshape(n * n, n * n))
-
+    CQ = check_quantale(carrier, comp) if validate else Quantale(carrier, comp)
     F = FrobeniusStructure(CQ, EndoMap(carrier, swap), EndoMap(carrier, swap))
     if validate:
-        check_quantale(carrier, comp)
         _require_valid(F, "the Chu construction is a Girard quantale")
     return CQ, F
 
@@ -584,8 +560,8 @@ def trivial_quantale(L, duality=None):
     Q = check_quantale(L, np.full((L.n, L.n), L.bot, dtype=np.int64))
     if duality is None:
         return Q
-    l = _image_array(duality[0], L.n)
-    r = _image_array(duality[1], L.n)
+    l = _endo_image(duality[0], L, "l")
+    r = _endo_image(duality[1], L, "r")
     for name, img in (("l", l), ("r", r)):
         if len(set(img.tolist())) != L.n:
             raise NotADuality(f"{name} is not a bijection")

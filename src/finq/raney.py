@@ -23,23 +23,14 @@ from .lattice import (
     _BLOCK_ENTRIES,
     EndoMap,
     FiniteLattice,
+    _endo_image,
+    _index_array,
     _right_adjoint_batch,
     _row_keys,
     _sup_endomap_images,
     right_adjoint,
 )
 from .quantale import FrobeniusStructure, Quantale, check_frobenius
-
-
-def _images(L, f):
-    if isinstance(f, EndoMap):
-        if f.lattice != L:
-            raise ValidationFailed("endomap lives on a different lattice")
-        return f.image
-    img = np.asarray(f, dtype=np.int64)
-    if img.shape != (L.n,) or img.min() < 0 or img.max() >= L.n:
-        raise ValidationFailed("endomap image has wrong shape or range")
-    return img
 
 
 def _raney_sup_batch(L, imgs):
@@ -118,13 +109,15 @@ def _star_batch(L, imgs):
 
 def _c_rows(L, ys):
     """The images of c_y, one row per entry of ys."""
-    rows = np.repeat(np.asarray(ys, dtype=np.int64)[:, None], L.n, axis=1)
+    ys = _index_array(ys, "c_y value", None, L.n)
+    rows = np.repeat(ys[:, None], L.n, axis=1)
     rows[:, L.bot] = L.bot
     return rows
 
 
 def _a_rows(L, xs):
     """The images of a_x, one row per entry of xs."""
+    xs = _index_array(xs, "a_x value", None, L.n)
     return np.where(L.leq.T[xs], L.bot, L.top)
 
 
@@ -269,7 +262,8 @@ class TightQuantale:
         return len(self.elements)
 
     def index_of(self, f):
-        return int(self._index.find(_images(self.lattice, f), "map"))
+        return int(self._index.find(_endo_image(f, self.lattice, "map"),
+                                    "map"))
 
     def __eq__(self, other):
         return isinstance(other, TightQuantale) and \
@@ -345,7 +339,8 @@ class BulletStructure:
 def tensor_map(L, y, x):
     """The elementary tensor: top at top, y on the rest of the upset of x,
     bot elsewhere; rans of it is c_y o a_x."""
-    img = np.where(L.leq[x, :], y, L.bot).astype(np.int64)
+    y, x = _index_array([y, x], "tensor_map arguments", (2,), L.n)
+    img = np.where(L.leq[x, :], y, L.bot)
     img[L.top] = L.top
     return EndoMap(L, img)
 

@@ -90,6 +90,21 @@ def residual_right_bruteforce(Q, z, y):
     return join_of(L, [x for x in range(L.n) if L.leq[Q.mult[x, y], z]])
 
 
+def chu_residuals(Q):
+    """Both residual tables of chu(Q) in closed form, on the pair indices
+    x1 * n + x2: (x1,x2)\\(z1,z2) = (x1\\z1 ^ x2/z2, z2*x1) and
+    (z1,z2)/(y1,y2) = (z1/y1 ^ z2\\y2, y1*z2)."""
+    n, mt = Q.n, Q.lattice.meet_table
+    pairs = list(itertools.product(range(n), repeat=2))
+    left = [[mt[residual_left_bruteforce(Q, x1, z1),
+                residual_right_bruteforce(Q, x2, z2)] * n + Q.mult[z2, x1]
+             for z1, z2 in pairs] for x1, x2 in pairs]
+    right = [[mt[residual_right_bruteforce(Q, z1, y1),
+                 residual_left_bruteforce(Q, z2, y2)] * n + Q.mult[y1, z2]
+              for y1, y2 in pairs] for z1, z2 in pairs]
+    return np.array(left), np.array(right)
+
+
 def meet_closure_bruteforce(L, img):
     """Pointwise meet of every meet-preserving map above img.
 

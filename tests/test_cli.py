@@ -103,15 +103,40 @@ def test_malformed_quantale_file_is_exit_2(capsys, tmp_path, quantale, error):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("semigroup, error", [
-    ({"n": 2.5, "op": [[0, 1], [1, 0]]}, "ValidationFailed"),
-    ({"n": 2, "op": [[0, 1], [1, False]]}, "ParseError"),
-], ids=["float-size", "boolean-entry"])
+@pytest.mark.parametrize("lattice, error", [
+    ({"n": 2, "covers": [[0, 1]], "labels": 5}, "ParseError"),
+    ({"n": 2, "covers": [[0, 1]], "labels": "ab"}, "ParseError"),
+    ({"n": 2, "covers": [[0, 1]], "labels": [1, None]}, "ParseError"),
+    ({"n": 2, "covers": [[0, 1]], "labels": ["a"]}, "ValidationFailed"),
+    ({"n": 2, "covers": [[0, True]]}, "ValidationFailed"),
+], ids=["labels-number", "labels-string", "labels-not-strings",
+        "labels-short", "boolean-cover"])
+def test_malformed_lattice_file_is_exit_2(capsys, tmp_path, lattice, error):
+    path = write(tmp_path, "bad.json", lattice)
+    code, out, err = run(capsys, "check-lattice", "--lattice", path)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+    assert "Traceback" not in err
+
+
+Z2 = {"n": 2, "op": [[0, 1], [1, 0]]}
+EQUALITY = {"rel": [[True, False], [False, True]]}
+
+
+@pytest.mark.parametrize("semigroup, relation, error", [
+    ({"n": 2.5, "op": [[0, 1], [1, 0]]}, EQUALITY, "ValidationFailed"),
+    ({"n": 2, "op": [[0, 1], [1, False]]}, EQUALITY, "ParseError"),
+    (dict(Z2, labels=5), EQUALITY, "ParseError"),
+    (Z2, {"rel": [[True, False], [False]]}, "ParseError"),
+    (Z2, {"rel": [[0.5, 0.5], [0.5, 0.5]]}, "ParseError"),
+    (Z2, {"rel": [[True, "x"], [False, True]]}, "ParseError"),
+    (Z2, {"rel": [[True, False], [False, 1]]}, "ParseError"),
+], ids=["float-size", "boolean-entry", "labels-number", "relation-ragged",
+        "relation-float", "relation-string", "relation-integer"])
 def test_malformed_semigroup_file_is_exit_2(capsys, tmp_path, semigroup,
-                                            error):
+                                            relation, error):
     sgp = write(tmp_path, "sgp.json", semigroup)
-    rel = write(tmp_path, "eq.json",
-                {"rel": [[True, False], [False, True]]})
+    rel = write(tmp_path, "rel.json", relation)
     code, out, err = run(capsys, "phase", "--semigroup", sgp,
                          "--relation", rel)
     assert code == 2

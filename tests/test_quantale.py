@@ -354,14 +354,16 @@ def test_chu_girard_and_units():
 
 
 def test_chu_residual_formulas_match_generic():
-    """The closed-form residual tables agree with the generic join-fold."""
-    for Q in [counterexample_3chain(), and_quantale(chain(2))]:
-        CQ, _ = chu(Q)
-        fresh = Quantale(CQ.lattice, CQ.mult)
-        assert np.array_equal(CQ.left_residual_table,
-                              fresh.left_residual_table)
-        assert np.array_equal(CQ.right_residual_table,
-                              fresh.right_residual_table)
+    """The residual tables of chu(Q), validated or not, equal the closed
+    form of the oracle. Validated, chu returns check_quantale's Quantale,
+    which already holds them; unvalidated, they are folded on first use."""
+    for Q in quantale_battery():
+        left, right = oracles.chu_residuals(Q)
+        for validate in (True, False):
+            CQ, _ = chu(Q, validate=validate)
+            assert ("left_residual_table" in vars(CQ)) == validate
+            assert np.array_equal(CQ.left_residual_table, left)
+            assert np.array_equal(CQ.right_residual_table, right)
 
 
 def test_chu_mult_formula_spot():
