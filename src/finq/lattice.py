@@ -44,8 +44,8 @@ def _index_array(a, what, shape, upper):
             not isinstance(a, np.ndarray) and _holds_bool(a, arr.ndim))):
         raise ValidationFailed(f"{what} must hold integer element indices")
     arr = arr.astype(np.int64, copy=False)
-    if upper is not None and arr.size and (
-            arr.min() < 0 or arr.max() >= upper):
+    # one pass for both ends: as uint64 a negative index is at least 2^63
+    if upper is not None and arr.size and arr.view(np.uint64).max() >= upper:
         raise ValidationFailed(
             f"{what} holds an element index outside 0..{upper - 1}")
     return arr
@@ -278,19 +278,27 @@ def build_lattice(covers, n, labels=None):
 def join_of(L, S):
     """Join of a family of elements; the empty join is bottom.
 
-    S may be any iterable of indices or an int bitmask over indices.
+    S may be any iterable of indices or an int bitmask below 2^n.
     """
-    return _fold(L.join_table, L.bot, S)
+    return _fold(L, L.join_table, L.bot, S)
 
 
 def meet_of(L, S):
     """Meet of a family of elements; the empty meet is top."""
-    return _fold(L.meet_table, L.top, S)
+    return _fold(L, L.meet_table, L.top, S)
 
 
-def _fold(table, start, S):
-    if isinstance(S, (int, np.integer)):
+def _fold(L, table, start, S):
+    """table folded over S from start. An int S (not a bool) is a bitmask;
+    members other than plain ints in 0..n-1 go through _index_array."""
+    if isinstance(S, (int, np.integer)) and not isinstance(S, bool):
+        if not 0 <= S < 1 << L.n:
+            raise ValidationFailed(f"bitmask outside 0..2^{L.n}-1")
         S = _bits(int(S))
+    else:
+        S = list(S) if np.iterable(S) else [S]
+        if not all(type(v) is int and 0 <= v < L.n for v in S):
+            S = _index_array(S, "element list", (len(S),), L.n).tolist()
     return int(reduce(lambda a, b: table[a, b], S, start))
 
 
@@ -369,11 +377,8 @@ def identity_map(L):
 
 
 def is_sup_preserving(f):
-    """True iff f preserves all joins.
-
-    Finiteness reduces this to the empty join f(bot) = bot plus binary joins
-    f(x v y) = f(x) v f(y) over all pairs.
-    """
+    """True iff f preserves all joins, the empty join included; decided by
+    _adjunction_holds."""
     return _sup_witness(f.source, f.target, f.image[None, :]) is None
 
 
@@ -408,41 +413,64 @@ def _adjoint(f, source, target, error, bot):
     witness = _sup_witness(source, target, f.image[None, :])
     if witness is not None:
         raise error((bot,) if witness == ("bot",) else witness)
-    image = _right_adjoint_batch(source, target, f.image[None, :])[0]
+    image = _right_adjoints(source, target, f.image[None, :])[0]
     if f.source == f.target:
         return EndoMap(f.source, image)
     return LatticeMap(f.target, f.source, image)
 
 
-def _right_adjoint_batch(source, target, imgs):
-    """Right adjoints g(y) = join of {x | f(x) <= y} of the sup-preserving
-    maps source -> target in the rows of an (R, source.n) image array.
-
-    One pass over the source elements, each a step over all rows at once;
-    pass the dual lattices for left adjoints of meet-preserving maps.
-    """
+def _right_adjoints(source, target, imgs):
+    """g(y) = join of {j in J(source) | f(j) <= y} for each row f of an
+    (R, source.n) image array, one step per j, in row blocks: the right
+    adjoint of every row that _adjunction_holds accepts. Pass the duals for
+    left adjoints of meet-preserving maps."""
+    leq, jt = target.leq, source.join_table
+    steps = [(j, jt[:, j].copy()) for j in source.join_irreducibles]
     out = np.full((len(imgs), target.n), source.bot, dtype=np.int64)
-    for x in range(source.n):
-        below = target.leq[imgs[:, x], :]
-        out = np.where(below, source.join_table[out, x], out)
+    step = max(1, _BLOCK_ENTRIES // target.n)
+    for b in range(0, len(imgs), step):
+        rows = slice(b, b + step)
+        block = out[rows]
+        for j, col in steps:
+            np.copyto(block, col[block], where=leq[imgs[rows, j]])
     return out
+
+
+def _adjunction_holds(source, target, imgs, adj):
+    """Which rows f of imgs preserve all joins, the empty one included,
+    given adj = _right_adjoints(source, target, imgs): those monotone on
+    the covers with f(g(y)) <= y for all y. Then f(x) <= y iff x <= g(y),
+    as x is the join of the j below it: f is a left adjoint (Blyth and
+    Janowitz, Residuation Theory). The gathers read a contiguous
+    (source.n, R) copy, free for a transposed table."""
+    cols, cov = np.ascontiguousarray(imgs.T), source.cover_array
+    r, nt, leq_f = cols.shape[1], target.n, target.leq.ravel()
+    ok = np.ones(r, dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // max(r, 1))
+    for b in range(0, len(cov), step):
+        c = cov[b:b + step]
+        ok &= leq_f[cols[c[:, 0]] * nt + cols[c[:, 1]]].all(axis=0)
+    cols_f, ar, ys = cols.ravel(), np.arange(r), np.arange(nt)
+    step = max(1, _BLOCK_ENTRIES // nt)
+    for b in range(0, r, step):
+        rows = slice(b, b + step)
+        ok[rows] &= leq_f[cols_f[adj[rows] * r + ar[rows, None]] * nt
+                          + ys].all(axis=1)
+    return ok
 
 
 def _sup_witness(source, target, imgs):
     """For the first row of an (R, source.n) image array that is not
-    sup-preserving, ("bot",) or the first (x, y) with f(x v y) !=
-    f(x) v f(y); None if there is none. Rows are accepted on x v j for
-    the irreducibles j, as every y is the join of those below it."""
-    jt = target.join_table
-    bad = imgs[:, source.bot] != target.bot
-    for j in source.join_irreducibles:
-        bad |= (imgs[:, source.join_table[:, j]]
-                != jt[imgs, imgs[:, j, None]]).any(axis=1)
-    if not bad.any():
+    sup-preserving, by _adjunction_holds, ("bot",) or the first (x, y)
+    with f(x v y) != f(x) v f(y); None if there is none."""
+    ok = _adjunction_holds(source, target, imgs,
+                           _right_adjoints(source, target, imgs))
+    if ok.all():
         return None
-    img = imgs[np.argmax(bad)]
+    img = imgs[np.argmin(ok)]
     if img[source.bot] != target.bot:
         return ("bot",)
+    jt = target.join_table
     pairs = np.argwhere(img[source.join_table] != jt[np.ix_(img, img)])
     return (int(pairs[0][0]), int(pairs[0][1]))
 
@@ -456,14 +484,12 @@ def is_order_isomorphism(f):
 
 
 def is_distributive(L):
-    """Binary distributivity over all triples.
-
-    For finite lattices this coincides with complete distributivity.
-    """
-    mt, jt = L.meet_table, L.join_table
-    lhs = mt[np.arange(L.n)[:, None, None], jt[None, :, :]]
-    rhs = jt[mt[:, :, None], mt[:, None, :]]
-    return bool((lhs == rhs).all())
+    """Whether every join-irreducible j is join-prime (j <= x v y only if
+    j <= x or j <= y), in O(|J| n^2): for a finite lattice, distributivity,
+    as x |-> {j in J | j <= x} is then an embedding into a powerset."""
+    jt = L.join_table
+    return not any(up[jt[np.ix_(~up, ~up)]].any()
+                   for up in L.leq[L.join_irreducibles])
 
 
 def chain(k):

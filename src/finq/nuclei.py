@@ -177,14 +177,7 @@ def serre_gc_quotient(Q, l, r):
     The restrictions of l and r to the closed elements form a Frobenius
     structure on the quotient.
     """
-    rep = check_frobenius(Q, l, r)
-    if not rep.serre_gc_valid:
-        for name in _SERRE_FLAGS:
-            if not getattr(rep, name):
-                wit = rep.witnesses.get(name) \
-                    or rep.witnesses.get("antitone_lneg") \
-                    or rep.witnesses.get("antitone_rneg")
-                raise NotSerreGC(name, wit)
+    _raise_first_failure(check_frobenius(Q, l, r), _SERRE_FLAGS, NotSerreGC)
     l_arr = _endo_image(l, Q.lattice, "l")
     r_arr = _endo_image(r, Q.lattice, "r")
     j_img = l_arr[r_arr]
@@ -211,6 +204,17 @@ def serre_gc_quotient(Q, l, r):
     return quot.nucleus, quot, F
 
 
+def _raise_first_failure(rep, flags, error):
+    """Raise error(flag, witness) for the first of flags that the
+    SerrePairReport rep fails; a failed "antitone" is witnessed under
+    antitone_lneg or antitone_rneg."""
+    for name in flags:
+        if not getattr(rep, name):
+            w = rep.witnesses
+            raise error(name, w.get(name) or w.get("antitone_lneg")
+                        or w.get("antitone_rneg"))
+
+
 def lift_serre(Q, j, l, r):
     """Lift a Serre duality (l, r) on Q_j to the Serre GC (l o j, r o j).
 
@@ -222,13 +226,9 @@ def lift_serre(Q, j, l, r):
         quotient_quantale(Q, j)
     l_j = _endo_image(l, quot.quantale.lattice, "l")
     r_j = _endo_image(r, quot.quantale.lattice, "r")
-    rep = check_frobenius(quot.quantale, l_j, r_j)
-    for name in ("antitone", "is_inverse_pair", "shift_holds"):
-        if not getattr(rep, name):
-            wit = rep.witnesses.get(name) \
-                or rep.witnesses.get("antitone_lneg") \
-                or rep.witnesses.get("antitone_rneg")
-            raise NotSerreDualityOnQuotient(name, wit)
+    _raise_first_failure(check_frobenius(quot.quantale, l_j, r_j),
+                         ("antitone", "is_inverse_pair", "shift_holds"),
+                         NotSerreDualityOnQuotient)
 
     sub = np.asarray(quot.closed, dtype=np.int64)
     jc = quot.to_closed[quot.nucleus.image]

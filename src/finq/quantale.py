@@ -27,11 +27,12 @@ from .errors import (
     ValidationFailed,
 )
 from .lattice import (
-    _BLOCK_ENTRIES,
     EndoMap,
+    _adjunction_holds,
     _endo_image,
     _frozen,
     _index_array,
+    _right_adjoints,
     product,
 )
 
@@ -45,9 +46,10 @@ class Quantale:
     relation of check_frobenius assume bottom absorption and both
     distributive laws (associativity is not needed). Every quantale the
     library builds satisfies them: check_quantale, the tight, bullet,
-    quotient and powerset quantales, and chu. Both residual tables come
-    from one _residual_fold; a Quantale returned by check_quantale already
-    holds them, as that fold is its distributivity check.
+    quotient and powerset quantales, and chu. The residual tables are the
+    lattice's _right_adjoints of the rows x*- and the columns -*y of mult;
+    a Quantale returned by check_quantale already holds them, as they are
+    its distributivity check.
     """
 
     def __init__(self, lattice, mult):
@@ -85,58 +87,31 @@ class Quantale:
         return self._residuals()[1]
 
     def _residuals(self):
-        """Both residual tables, from one _residual_fold."""
-        self._keep_residuals(*_residual_fold(self.lattice, self.mult))
+        """Both residual tables: x\\z is the right adjoint of x*- at z, and
+        z/y that of -*y, read off the transposed table's adjoints."""
+        L = self.lattice
+        self._keep_residuals(_right_adjoints(L, L, self.mult),
+                             _right_adjoints(L, L, self.mult.T).T)
         return self.left_residual_table, self.right_residual_table
 
     def _keep_residuals(self, lres, rres):
-        """Cache both tables of _residual_fold, frozen."""
+        """Cache both residual tables, frozen."""
         self.__dict__.update(left_residual_table=_frozen(lres),
                              right_residual_table=_frozen(rres))
-
-
-def _residual_fold(lattice, mult):
-    """(lres, rres) with lres[x, z] = join of {j in J | x*j <= z} and
-    rres[z, y] = join of {j in J | j*y <= z}: one step per join-irreducible
-    j, in row blocks of x and of y.
-
-    Under bottom absorption and distributivity {y | x*y <= z} is closed
-    under joins and holds every irreducible below its join, so these are
-    the residuals x\\z and z/y. For any table, x*- preserves all joins iff
-    it is monotone and x*lres[x, z] <= z for every z (then lres[x, z] is
-    the largest y with x*y <= z, a right adjoint), and likewise -*y with
-    rres[z, y]*y <= z: check_quantale accepts on that.
-    """
-    leq, jt, n, bot = lattice.leq, lattice.join_table, lattice.n, lattice.bot
-    steps = [(jt[:, j].copy(), mult[:, j], mult[j, :])
-             for j in lattice.join_irreducibles]
-    lres = np.full((n, n), bot, dtype=np.int64)
-    rres = np.empty_like(lres)
-    step = max(1, _BLOCK_ENTRIES // n)
-    for b in range(0, n, step):
-        rows = slice(b, b + step)
-        left = lres[rows]
-        right = np.full_like(left, bot)         # right[y - b, z] = z/y
-        for col, xj, jy in steps:
-            np.copyto(left, col[left], where=leq[xj[rows]])
-            np.copyto(right, col[right], where=leq[jy[rows]])
-        rres[:, rows] = right.T
-    return lres, rres
 
 
 def check_quantale(lattice, mult):
     """Validate the quantale laws and return the Quantale, with both
     residual tables already computed.
 
-    Accepts through the residual adjunction, cheapest law first: bottom
-    absorption on both sides; associativity on J x J x J for the
-    join-irreducibles J; x*- and -*y monotone, checked on the covers;
-    then one _residual_fold and its counits x*(x\\z) <= z and
-    (z/y)*y <= z for all x, y, z. A monotone map with such a right adjoint
-    preserves all joins (binary and empty), so both distributive laws
-    hold; then both sides of associativity are join-preserving in each
-    argument, and every element is a join of irreducibles. That is
-    N^2 |J| work instead of N^3, and the fold's tables are the residuals.
+    Accepts through the residual adjunction: associativity on J x J x J
+    for the join-irreducibles J; then each row x*- and each column -*y of
+    the table must pass the lattice's _adjunction_holds with its
+    _right_adjoints, which are x\\z and z/y. A map with such a right
+    adjoint preserves all joins, binary and empty, so both distributive
+    laws and bottom absorption hold; then both sides of associativity are
+    join-preserving in each argument, and every element is a join of
+    irreducibles. That is N^2 |J| work instead of N^3.
 
     When any of these fails, _first_law_violation rescans in lexicographic
     index order, so the error type and the first witness do not depend on
@@ -153,41 +128,20 @@ def check_quantale(lattice, mult):
 
 
 def _laws_hold_on_irreducibles(lattice, mult):
-    """The accept path of check_quantale: _residual_fold's (lres, rres)
+    """The accept path of check_quantale: the residual tables (lres, rres)
     if every law holds, else None."""
-    n, bot = lattice.n, lattice.bot
-    if not ((mult[bot, :] == bot).all() and (mult[:, bot] == bot).all()):
-        return None
     irr = np.asarray(lattice.join_irreducibles, dtype=np.int64)
     mJ = mult[np.ix_(irr, irr)]
     if not all(np.array_equal(mult[mult[a, irr][:, None], irr], mult[a, mJ])
                for a in irr):
         return None
-    if not _monotone_on_covers(lattice, mult):
-        return None
-    lres, rres = _residual_fold(lattice, mult)
-    leq_f, mult_f, ar = lattice.leq.ravel(), mult.ravel(), np.arange(n)
-    # x*(x\z) <= z and (z/y)*y <= z, in row blocks of x and of z
-    if not _all_in_blocks(n, n, lambda s: (
-            leq_f[mult_f[ar[s, None] * n + lres[s]] * n + ar].all()
-            and leq_f[mult_f[rres[s] * n + ar] * n + ar[s, None]].all())):
-        return None
-    return lres, rres
-
-
-def _monotone_on_covers(lattice, mult):
-    """a*y <= b*y and y*a <= y*b for every cover (a, b) and every y."""
-    n, cov, leq_f = lattice.n, lattice.cover_array, lattice.leq.ravel()
-    return all(_all_in_blocks(len(cov), n, lambda s, t=t: leq_f[
-        t[cov[s, 0]] * n + t[cov[s, 1]]].all())
-        for t in (mult, np.ascontiguousarray(mult.T)))
-
-
-def _all_in_blocks(count, width, check):
-    """Whether check(rows) holds for every slice of range(count), in
-    blocks of at most _BLOCK_ENTRIES // width rows of width entries."""
-    step = max(1, _BLOCK_ENTRIES // width)
-    return all(check(slice(b, b + step)) for b in range(0, count, step))
+    adjoints = []
+    for table in (mult, mult.T):
+        adj = _right_adjoints(lattice, lattice, table)
+        if not _adjunction_holds(lattice, lattice, table, adj).all():
+            return None
+        adjoints.append(adj)
+    return adjoints[0], adjoints[1].T
 
 
 def _first_law_violation(lattice, mult):
@@ -227,12 +181,19 @@ def _first_law_violation(lattice, mult):
 
 def residual_left(Q, x, z):
     """x\\z, the largest y with x*y <= z."""
-    return int(Q.left_residual_table[x, z])
+    return int(Q.left_residual_table[_elements(Q, "residual_left", x, z)])
 
 
 def residual_right(Q, z, y):
     """z/y, the largest x with x*y <= z."""
-    return int(Q.right_residual_table[z, y])
+    return int(Q.right_residual_table[_elements(Q, "residual_right", z, y)])
+
+
+def _elements(Q, what, *xs):
+    """The element arguments xs of Q, checked by _index_array, as a tuple
+    of ints."""
+    return tuple(_index_array(list(xs), f"{what} arguments", (len(xs),),
+                              Q.n).tolist())
 
 
 def element_flags(Q, zero):
@@ -242,6 +203,7 @@ def element_flags(Q, zero):
     x\\0 = 0/x, and weakly cyclic when the two double negations agree without
     being the identity.
     """
+    zero, = _elements(Q, "element_flags", zero)
     lneg = Q.right_residual_table[zero, :]
     rneg = Q.left_residual_table[:, zero]
     ar = np.arange(Q.n)
@@ -407,6 +369,7 @@ def dual_mult(F, x, y):
     """The dual multiplication lneg(rneg(y) * rneg(x)), asserted against its
     three equivalent forms."""
     Q = F.quantale
+    x, y = _elements(Q, "dual_mult", x, y)
     l, r = F.lneg.image, F.rneg.image
     e1 = int(l[Q.mult[r[y], r[x]]])
     e2 = int(r[Q.mult[l[y], l[x]]])
@@ -465,6 +428,7 @@ def find_unit(Q):
 
 def is_positive_element(Q, p):
     """x <= x*p and x <= p*x for every x."""
+    p, = _elements(Q, "is_positive_element", p)
     ar = np.arange(Q.n)
     return bool(Q.lattice.leq[ar, Q.mult[:, p]].all()
                 and Q.lattice.leq[ar, Q.mult[p, :]].all())
@@ -534,7 +498,7 @@ def chu(Q, validate=True):
     is, with unit (u, top). With validate, the result is the Quantale that
     check_quantale returns, residual tables included, and a swap pair that
     is not Frobenius raises InvariantViolated; without, the residual tables
-    are folded on first use.
+    are computed on first use.
     """
     L = Q.lattice
     n = L.n

@@ -25,7 +25,7 @@ from .lattice import (
     FiniteLattice,
     _endo_image,
     _index_array,
-    _right_adjoint_batch,
+    _right_adjoints,
     _row_keys,
     _sup_endomap_images,
     right_adjoint,
@@ -104,7 +104,7 @@ def star(f):
 
 def _star_batch(L, imgs):
     """star over the rows of an (R, n) array of sup-preserving maps."""
-    return _raney_sup_batch(L, _right_adjoint_batch(L, L, imgs))
+    return _raney_sup_batch(L, _right_adjoints(L, L, imgs))
 
 
 def _c_rows(L, ys):
@@ -374,7 +374,7 @@ def bullet_quantale(L, max_candidates=10 ** 9):
     Q = check_quantale(lat, mult)
 
     perp_idx = index.find(
-        _raney_inf_batch(L, _right_adjoint_batch(D, D, imgs)), "perp")
+        _raney_inf_batch(L, _right_adjoints(D, D, imgs)), "perp")
     perp = EndoMap(lat, perp_idx)
     serre_report = check_frobenius(Q, perp_idx, perp_idx)
     if not serre_report.serre_gc_valid:

@@ -22,10 +22,12 @@ def all_subsets(L):
         yield from itertools.combinations(range(L.n), r)
 
 
-def is_sup_preserving_bruteforce(L, img):
-    """Checks f(join S) = join f(S) over every one of the 2^n subsets."""
+def is_sup_preserving_bruteforce(L, img, target=None):
+    """Checks f(join S) = join f(S) over every one of the 2^n subsets, for
+    f from L to target (L itself by default)."""
+    T = L if target is None else target
     for S in all_subsets(L):
-        if img[join_of(L, S)] != join_of(L, [img[x] for x in S]):
+        if img[join_of(L, S)] != join_of(T, [img[x] for x in S]):
             return False
     return True
 
@@ -47,9 +49,21 @@ def meet_endomaps_bruteforce(L):
             if is_meet_preserving_bruteforce(L, f)]
 
 
-def right_adjoint_bruteforce(L, img):
-    return tuple(join_of(L, [x for x in range(L.n) if L.leq[img[x], y]])
-                 for y in range(L.n))
+def right_adjoint_bruteforce(L, img, target=None):
+    """g(y) = join of {x | f(x) <= y} for f from L to target (L itself by
+    default)."""
+    T = L if target is None else target
+    return tuple(join_of(L, [x for x in range(L.n) if T.leq[img[x], y]])
+                 for y in range(T.n))
+
+
+def is_distributive_bruteforce(L):
+    """x ^ (y v z) = (x ^ y) v (x ^ z) over every triple, as two
+    n x n x n tables."""
+    mt, jt = L.meet_table, L.join_table
+    lhs = mt[np.arange(L.n)[:, None, None], jt[None, :, :]]
+    rhs = jt[mt[:, :, None], mt[:, None, :]]
+    return bool((lhs == rhs).all())
 
 
 def order_isos_bruteforce(L):

@@ -1,13 +1,16 @@
-"""The join-irreducible paths of the law and residual layer against the
-full scans and brute-force definitions in oracles.py.
+"""The join-irreducible paths of the lattice, law and residual layers
+against the full scans and brute-force definitions in oracles.py.
 
-check_quantale accepts through the join-irreducibles and rescans only on
-failure; the residual tables fold over the irreducibles; check_frobenius
-reads the shift relation off the Serre identity. Each must give the same
-outcome, error type and first witness as the full definition.
+The adjunction kernel of finq.lattice decides sup-preservation and folds
+right adjoints over the irreducibles; check_quantale accepts through it and
+rescans only on failure; the residual tables are its adjoints;
+check_frobenius reads the shift relation off the Serre identity;
+is_distributive asks whether every irreducible is join-prime. Each must
+give the same outcome, error type and first witness as the full definition.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +25,13 @@ from finq.errors import (
     NotAssociative,
     NotDistributive,
 )
-from finq.lattice import standard_lattice
+from finq.lattice import (
+    _adjunction_holds,
+    _right_adjoints,
+    _sup_witness,
+    is_distributive,
+    standard_lattice,
+)
 from finq.quantale import check_frobenius, check_quantale, chu
 from finq.raney import tight_quantale
 
@@ -213,3 +222,65 @@ def test_chu_failed_validation_is_an_invariant_violation(monkeypatch):
         chu(Q)
     assert exc.value.witness == {"serre_identity": (0, 0)}
     chu(Q, validate=False)
+
+
+def _first_join_failure(S, T, img):
+    """The definition's witness for f: S -> T: ("bot",) if f(bot) != bot,
+    else the first (x, y), row-major, with f(x v y) != f(x) v f(y)."""
+    if img[S.bot] != T.bot:
+        return ("bot",)
+    return next((x, y) for x in range(S.n) for y in range(S.n)
+                if img[S.join_table[x, y]] != T.join_table[img[x], img[y]])
+
+
+def test_adjunction_kernel_matches_definitions(small_lattices):
+    """On every small lattice, its dual and chain(3) -> M(3): the
+    sup-preserving maps, some monotone maps that are not, and one-entry
+    changes of both, mixed into batches. _adjunction_holds is the
+    brute-force sup-preservation test row by row; _sup_witness names the
+    first failing row's first witness; _right_adjoints is the brute-force
+    right adjoint of each sup-preserving row."""
+    duals = [L.dual() for L in small_lattices]
+    pairs = [(L, L) for L in list(small_lattices) + duals]
+    pairs.append((finq.chain(3), finq.m_lattice(3)))
+    rng = np.random.default_rng(14)
+    failed = 0
+    for S, T in pairs:
+        maps = np.array(list(itertools.product(range(T.n), repeat=S.n)))
+        mono = maps[(T.leq[maps[:, :, None], maps[:, None, :]]
+                     | ~S.leq).all(axis=(1, 2))]
+        sup = np.array([oracles.is_sup_preserving_bruteforce(S, f, T)
+                        for f in mono.tolist()])
+        sups, others = mono[sup], mono[~sup][:20]
+        assert np.array_equal(
+            _right_adjoints(S, T, sups),
+            [oracles.right_adjoint_bruteforce(S, f, T) for f in sups.tolist()])
+        near = np.concatenate([sups, others])[
+            rng.integers(0, len(sups) + len(others), size=20)]
+        near[np.arange(20), rng.integers(0, S.n, size=20)] = \
+            rng.integers(0, T.n, size=20)
+        pool = np.concatenate([sups, others, near])
+        passes = np.array([oracles.is_sup_preserving_bruteforce(S, f, T)
+                           for f in pool.tolist()])
+        assert np.array_equal(
+            _adjunction_holds(S, T, pool, _right_adjoints(S, T, pool)),
+            passes)
+        for _ in range(10):
+            rows = rng.integers(0, len(pool), size=rng.integers(1, 6))
+            bad = np.flatnonzero(~passes[rows])
+            expected = _first_join_failure(S, T, pool[rows[bad[0]]]) \
+                if bad.size else None
+            assert _sup_witness(S, T, pool[rows]) == expected
+            failed += expected is not None
+    assert failed > 100
+
+
+def test_is_distributive_matches_triple_scan(small_lattices, carriers):
+    lattices = list(small_lattices) + [T.quantale.lattice
+                                       for T in carriers.values()]
+    seen = set()
+    for L in lattices + [L.dual() for L in lattices]:
+        expected = oracles.is_distributive_bruteforce(L)
+        assert is_distributive(L) == expected
+        seen.add(expected)
+    assert seen == {True, False}

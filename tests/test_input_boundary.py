@@ -10,7 +10,7 @@ import pytest
 from finq.diamonds import f_gen, tight_profile_mn
 from finq.errors import ValidationFailed
 from finq.lattice import EndoMap, FiniteLattice, LatticeMap, chain, \
-    m_lattice
+    join_of, m_lattice, meet_of
 from finq.nuclei import (
     BinaryRelation,
     FiniteSemigroup,
@@ -18,8 +18,18 @@ from finq.nuclei import (
     is_nucleus,
     quotient_quantale,
 )
-from finq.quantale import Quantale, check_frobenius, check_quantale, \
-    trivial_quantale
+from finq.quantale import (
+    Quantale,
+    check_frobenius,
+    check_quantale,
+    dual_mult,
+    element_flags,
+    frobenius_from_dualizing,
+    is_positive_element,
+    residual_left,
+    residual_right,
+    trivial_quantale,
+)
 from finq.raney import a_map, c_map, tensor_map, tight_quantale
 
 KINDS = ["float-entry", "bool-in-list", "all-bool", "ragged-row",
@@ -109,6 +119,10 @@ def test_entry_point_rejects_malformed_input(name, kind):
         call(bad)
 
 
+_CHAIN2 = check_quantale(chain(2), chain(2).meet_table)
+_CHAIN2_F = frobenius_from_dualizing(_CHAIN2, 0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: c_map(chain(2), 1.5),
     lambda: a_map(m_lattice(3), True),
@@ -116,9 +130,27 @@ def test_entry_point_rejects_malformed_input(name, kind):
     lambda: f_gen(3, True, 2, 2, 1),
     lambda: FiniteLattice(2, chain(2).leq, chain(2).join_table,
                           chain(2).meet_table, 0.7, 1),
-], ids=["c_map", "a_map", "tensor_map", "f_gen", "FiniteLattice-bottom"])
+    lambda: join_of(m_lattice(3), [1.5]),
+    lambda: join_of(m_lattice(3), [True]),
+    lambda: join_of(m_lattice(3), 1 << 5),
+    lambda: join_of(m_lattice(3), -1),
+    lambda: meet_of(m_lattice(3), [7]),
+    lambda: meet_of(m_lattice(3), [-1]),
+    lambda: is_positive_element(_CHAIN2, 1.5),
+    lambda: element_flags(_CHAIN2, -1),
+    lambda: frobenius_from_dualizing(_CHAIN2, -1),
+    lambda: residual_left(_CHAIN2, -1, 0),
+    lambda: residual_right(_CHAIN2, 0, 2),
+    lambda: dual_mult(_CHAIN2_F, 0, -1),
+], ids=["c_map", "a_map", "tensor_map", "f_gen", "FiniteLattice-bottom",
+        "join_of-float", "join_of-bool", "join_of-bitmask-too-large",
+        "join_of-bitmask-negative", "meet_of-out-of-range",
+        "meet_of-negative", "is_positive_element", "element_flags",
+        "frobenius_from_dualizing", "residual_left", "residual_right",
+        "dual_mult"])
 def test_element_arguments_reject_non_integers(call):
     """An element passed as a number goes through the same check: 1.5 is
-    not read as 1, nor True as 1."""
+    not read as 1, nor True as 1, and an index outside 0..n-1 (-1 too) or
+    a bitmask outside 0..2^n-1 is refused rather than wrapped."""
     with pytest.raises(ValidationFailed):
         call()
