@@ -7,7 +7,9 @@ all checks pass, 1 when a mathematical check fails (witnesses in the
 report), 2 on parse, validation, or budget errors, and 3 when one of the
 library's own invariants fails (InvariantViolated: a defect in finq, with
 the witness in the report). A raised error's code is its class's
-FinqError.exit_code.
+FinqError.exit_code. A verb puts the library's arrays and to_dict()
+results into its report as they are; finq.formats alone turns them into
+JSON.
 """
 
 import argparse
@@ -114,8 +116,8 @@ def _cmd_check_frobenius(args):
 def _cmd_residuals(args):
     Q, _, _ = _checked_quantale(args.quantale)
     return True, {
-        "left_residuals": Q.left_residual_table.tolist(),
-        "right_residuals": Q.right_residual_table.tolist(),
+        "left_residuals": Q.left_residual_table,
+        "right_residuals": Q.right_residual_table,
         "convention": {
             "left_residuals": "entry [x][z] is the largest y with x*y <= z",
             "right_residuals": "entry [z][y] is the largest x with x*y <= z",
@@ -141,7 +143,7 @@ def _cmd_nucleus(args):
                        "witness": rep.witness}
     quot = quotient_quantale(Q, j)
     return True, {"nucleus": True,
-                  "closed": list(quot.closed),
+                  "closed": quot.closed,
                   "quantale": quantale_to_dict(quot.quantale)}
 
 
@@ -155,7 +157,7 @@ def _cmd_phase(args):
     members = [[b for b in range(S.n) if mask >> b & 1]
                for mask in quot.closed]
     return True, {
-        "closed": list(quot.closed),
+        "closed": quot.closed,
         "closed_sets": members,
         "quantale": quantale_to_dict(quot.quantale, F.lneg.image,
                                      F.rneg.image),
@@ -174,30 +176,22 @@ def _cmd_represent(args):
 def _cmd_raney(args):
     L = _load_lattice(args.lattice)
     f = endomap_from_dict(load_json(args.endomap), L)
-    report = {
-        "rans": [int(v) for v in raney_sup(f).image],
-        "rani": [int(v) for v in raney_inf(f).image],
-        "tight_interior": [int(v) for v in tight_interior(f).image],
-        "cotight_closure": [int(v) for v in cotight_closure(f).image],
+    return True, {
+        "rans": raney_sup(f).image,
+        "rani": raney_inf(f).image,
+        "tight_interior": tight_interior(f).image,
+        "cotight_closure": cotight_closure(f).image,
         "is_tight": is_tight(f),
         "is_cotight": is_cotight(f),
-        "star": [int(v) for v in star(f).image]
-        if is_sup_preserving(f) else None}
-    return True, report
+        "star": star(f).image if is_sup_preserving(f) else None}
 
 
 def _cmd_tight_quantale(args):
     L = _load_lattice(args.lattice)
     T = tight_quantale(L, max_candidates=args.max_candidates)
-    star_idx = [int(v) for v in T.frobenius.lneg.image]
-    report = {
-        "n": T.n,
-        "elements": [[int(v) for v in f.image] for f in T.elements],
-        "quantale": {
-            "lattice": lattice_to_dict(T.quantale.lattice),
-            "mult": T.quantale.mult.tolist(),
-            "lneg": star_idx,
-            "rneg": star_idx}}
+    report = {"n": T.n, "elements": [f.image for f in T.elements],
+              "quantale": quantale_to_dict(T.quantale, T.frobenius.lneg.image,
+                                           T.frobenius.rneg.image)}
     if args.find_unit:
         report["unit"] = find_unit(T.quantale).unit
     return True, report
@@ -208,13 +202,12 @@ def _cmd_bullet(args):
     B = bullet_quantale(L, max_candidates=args.max_candidates)
     return True, {
         "n": len(B.elements),
-        "elements": [[int(v) for v in f.image] for f in B.elements],
-        "mult": B.quantale.mult.tolist(),
-        "perp": [int(v) for v in B.perp.image],
+        "elements": [f.image for f in B.elements],
+        "mult": B.quantale.mult,
+        "perp": B.perp.image,
         "serre": B.serre_report.to_dict(),
-        "cotight": list(B.quotient.closed),
-        "iso": {"mapping": [int(v) for v in B.iso.mapping],
-                "flags": dict(B.iso.flags)}}
+        "cotight": B.quotient.closed,
+        "iso": {"mapping": B.iso.mapping, "flags": B.iso.flags}}
 
 
 def _cmd_mn_count(args):
@@ -223,18 +216,10 @@ def _cmd_mn_count(args):
     return True, report.to_dict()
 
 
-def _cmd_mn_negations(args):
-    report = check_negation_formulas(args.n, max_atoms=args.max_atoms)
-    return bool(report), report.to_dict()
-
-
-def _cmd_mn_positivity(args):
-    report = positivity_suite_mn(args.n, max_atoms=args.max_atoms)
-    return bool(report), report.to_dict()
-
-
-def _cmd_mn_closures(args):
-    report = closures_vs_sublattices(args.n, max_atoms=args.max_atoms)
+def _cmd_mn_check(args):
+    """mn-negations, mn-positivity and mn-closures: one M_n sweep, passed
+    iff every flag of its report holds."""
+    report = args.sweep(args.n, max_atoms=args.max_atoms)
     return bool(report), report.to_dict()
 
 
@@ -305,9 +290,10 @@ def _build_parser():
     count = verb("mn-count", _cmd_mn_count, n=True)
     count.add_argument("--enumerate", default=True,
                        action=argparse.BooleanOptionalAction)
-    verb("mn-negations", _cmd_mn_negations, n=True)
-    verb("mn-positivity", _cmd_mn_positivity, n=True)
-    verb("mn-closures", _cmd_mn_closures, n=True)
+    for name, sweep in (("mn-negations", check_negation_formulas),
+                        ("mn-positivity", positivity_suite_mn),
+                        ("mn-closures", closures_vs_sublattices)):
+        verb(name, _cmd_mn_check, n=True).set_defaults(sweep=sweep)
     verb("report", _cmd_report, quantale=True)
     return parser
 

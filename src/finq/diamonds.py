@@ -23,6 +23,7 @@ from .lattice import (
     _endo_image,
     _index_array,
     _row_keys,
+    _sup_adjoints,
     _sup_endomap_images,
     _sup_witness,
     is_distributive,
@@ -36,7 +37,7 @@ from .raney import (
     _a_rows,
     _c_rows,
     _generator_rows,
-    _star_batch,
+    _raney_sup_batch,
     _tight_mask,
     tight_quantale,
 )
@@ -238,11 +239,11 @@ def check_negation_formulas(n, max_atoms=_DEFAULT_MAX_ATOMS):
              L.join_table[_c_rows(L, yx[:, 1]), _a_rows(L, yx[:, 0])]),
             ("generator", xyxy, _f_gen_rows(L, xyxy),
              _f_gen_rows(L, xyxy[:, [1, 2, 3, 0]]))):
-        # star's precondition, checked once per table
-        witness = _sup_witness(L, L, rows)
+        # star's precondition and star (rans of the adjoints): one fold
+        witness, adj = _sup_adjoints(L, L, rows)
         if witness is not None:
             raise NotSupPreserving(witness)
-        bad = (_star_batch(L, rows) != expected).any(axis=1)
+        bad = (_raney_sup_batch(L, adj) != expected).any(axis=1)
         flags[name] = not bad.any()
         if bad.any():
             witnesses[name] = tuple(int(v) for v in params[np.argmax(bad)])

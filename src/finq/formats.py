@@ -4,7 +4,9 @@ Lattices travel as cover relations, quantales as a lattice plus a
 multiplication table with optional negation images, semigroups as operation
 tables, relations as boolean matrices, endomaps as image arrays. Loading
 validates shape only; mathematical laws are checked by the operations the
-caller runs afterwards.
+caller runs afterwards. Only this module turns numpy values into JSON: a
+report payload holds the library's arrays as they are, for dumps_report's
+_json_value, and the public *_to_dict writers return plain lists.
 """
 
 import json
@@ -70,7 +72,7 @@ def _labels(d):
 
 
 def lattice_to_dict(L):
-    out = {"n": L.n, "covers": [[x, y] for x, y in L.covers]}
+    out = {"n": L.n, "covers": L.cover_array.tolist()}
     if L.labels is not None:
         out["labels"] = list(L.labels)
     return out
@@ -83,10 +85,9 @@ def lattice_from_dict(d):
 
 def quantale_to_dict(Q, lneg=None, rneg=None):
     out = {"lattice": lattice_to_dict(Q.lattice), "mult": Q.mult.tolist()}
-    if lneg is not None:
-        out["lneg"] = [int(v) for v in lneg]
-    if rneg is not None:
-        out["rneg"] = [int(v) for v in rneg]
+    for key, image in (("lneg", lneg), ("rneg", rneg)):
+        if image is not None:
+            out[key] = _index_array(image, key, (Q.n,), Q.n).tolist()
     return out
 
 
@@ -107,7 +108,7 @@ def endomap_from_dict(d, L):
 
 
 def endomap_to_dict(f):
-    return {"image": [int(v) for v in f.image]}
+    return {"image": f.image.tolist()}
 
 
 def semigroup_from_dict(d):

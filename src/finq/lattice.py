@@ -253,7 +253,10 @@ def build_lattice(covers, n, labels=None):
 
     The order is the reflexive-transitive closure of the covers; fails when
     the covers are cyclic, the poset is unbounded, or some pair lacks a least
-    upper or greatest lower bound.
+    upper or greatest lower bound. Fewer than n - 1 pairs leave two minimal
+    elements (all others have a pair entering them): then only the listed
+    elements are closed, for a cycle, before NotBounded, so no n x n table
+    is allocated.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0:
         raise ValidationFailed("element count must be a positive integer")
@@ -262,15 +265,19 @@ def build_lattice(covers, n, labels=None):
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValidationFailed("covers must be pairs of element indices")
     pairs = pairs.reshape(-1, 2)
-    closure = np.zeros((n, n), dtype=bool)
-    closure[pairs[:, 0], pairs[:, 1]] = True
+    unbounded = len(pairs) < n - 1
+    nodes = np.unique(pairs) if unbounded else np.arange(n)
+    closure = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    closure[tuple(np.searchsorted(nodes, pairs).T)] = True
     # square the relation until nothing changes: log2(n) matmuls at most
     prev = None
     while prev is None or not np.array_equal(prev, closure):
         prev, closure = closure, closure | _composed(closure)
     diag = np.flatnonzero(closure.diagonal())
     if diag.size:
-        raise CycleDetected(int(diag[0]))
+        raise CycleDetected(int(nodes[diag[0]]))
+    if unbounded:
+        raise NotBounded("bottom")
     leq = closure | np.eye(n, dtype=bool)
     return FiniteLattice.from_leq(leq, labels)
 
@@ -335,7 +342,7 @@ class LatticeMap:
         return hash((self.source, self.target, self.image.tobytes()))
 
     def __repr__(self):
-        return f"{type(self).__name__}({list(self.image)})"
+        return f"{type(self).__name__}({self.image.tolist()})"
 
     def compose(self, other):
         """self after other."""
@@ -410,10 +417,9 @@ def _adjoint(f, source, target, error, bot):
     """The right adjoint of f as a map source -> target, which are f's
     lattices or their duals; raises error with the witness of
     _sup_witness, its ("bot",) named bot, when f does not qualify."""
-    witness = _sup_witness(source, target, f.image[None, :])
+    witness, (image,) = _sup_adjoints(source, target, f.image[None, :])
     if witness is not None:
         raise error((bot,) if witness == ("bot",) else witness)
-    image = _right_adjoints(source, target, f.image[None, :])[0]
     if f.source == f.target:
         return EndoMap(f.source, image)
     return LatticeMap(f.target, f.source, image)
@@ -463,16 +469,23 @@ def _sup_witness(source, target, imgs):
     """For the first row of an (R, source.n) image array that is not
     sup-preserving, by _adjunction_holds, ("bot",) or the first (x, y)
     with f(x v y) != f(x) v f(y); None if there is none."""
-    ok = _adjunction_holds(source, target, imgs,
-                           _right_adjoints(source, target, imgs))
+    return _sup_adjoints(source, target, imgs)[0]
+
+
+def _sup_adjoints(source, target, imgs):
+    """(_sup_witness, _right_adjoints) of an (R, source.n) image array from
+    one fold: the adjoints decide sup-preservation and, when the witness
+    is None, are the right adjoint of every row."""
+    adj = _right_adjoints(source, target, imgs)
+    ok = _adjunction_holds(source, target, imgs, adj)
     if ok.all():
-        return None
+        return None, adj
     img = imgs[np.argmin(ok)]
     if img[source.bot] != target.bot:
-        return ("bot",)
+        return ("bot",), adj
     jt = target.join_table
     pairs = np.argwhere(img[source.join_table] != jt[np.ix_(img, img)])
-    return (int(pairs[0][0]), int(pairs[0][1]))
+    return (int(pairs[0][0]), int(pairs[0][1])), adj
 
 
 def is_order_isomorphism(f):

@@ -33,7 +33,8 @@ from .lattice import (
     _index_array,
     boolean,
 )
-from .quantale import FrobeniusStructure, Quantale, check_frobenius
+from .quantale import FrobeniusStructure, Quantale, check_frobenius, \
+    find_unit
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,6 @@ def representable_flags(Q, l, r):
             found = z
             break
     if found is None:
-        from .quantale import find_unit
         # every Serre GC on a unital quantale is representable
         if find_unit(Q).unit is not None and \
                 check_frobenius(Q, l_arr, r_arr).serre_gc_valid:

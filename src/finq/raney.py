@@ -30,7 +30,9 @@ from .lattice import (
     _sup_endomap_images,
     right_adjoint,
 )
-from .quantale import FrobeniusStructure, Quantale, check_frobenius
+from .nuclei import serre_gc_quotient
+from .quantale import FrobeniusStructure, Quantale, check_frobenius, \
+    check_quantale
 
 
 def _raney_sup_batch(L, imgs):
@@ -100,11 +102,6 @@ def star(f):
     """The tight negation rans(rho(f)) of a sup-preserving map."""
     g = right_adjoint(f)
     return raney_sup(g)
-
-
-def _star_batch(L, imgs):
-    """star over the rows of an (R, n) array of sup-preserving maps."""
-    return _raney_sup_batch(L, _right_adjoints(L, L, imgs))
 
 
 def _c_rows(L, ys):
@@ -291,7 +288,8 @@ def tight_quantale(L, max_candidates=10 ** 9):
                        lambda a, b: index.find(a[:, b], "composition"))
     Q = Quantale(lat, comp)
 
-    star_idx = index.find(_star_batch(L, imgs), "star")
+    star_idx = index.find(
+        _raney_sup_batch(L, _right_adjoints(L, L, imgs)), "star")
     F = FrobeniusStructure(Q, EndoMap(lat, star_idx), EndoMap(lat, star_idx))
 
     elements = tuple(EndoMap(L, row) for row in imgs)
@@ -359,9 +357,6 @@ def bullet_quantale(L, max_candidates=10 ** 9):
     transporting perp to star; a failure of the last four is a library
     defect and raises InvariantViolated.
     """
-    from .nuclei import serre_gc_quotient
-    from .quantale import check_quantale
-
     D = L.dual()
     imgs = _sup_endomap_images(D, max_candidates)
     index = _RowIndex(imgs)

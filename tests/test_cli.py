@@ -144,6 +144,16 @@ def test_malformed_semigroup_file_is_exit_2(capsys, tmp_path, semigroup,
     assert "Traceback" not in err
 
 
+def test_unbounded_huge_lattice_file_is_exit_1(capsys, tmp_path):
+    path = write(tmp_path, "huge.json", {"n": 10 ** 30, "covers": []})
+    code, out, err = run(capsys, "check-lattice", "--lattice", path)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["error"]["type"] == "NotBounded"
+    assert "Traceback" not in err
+
+
 def test_check_quantale_and_unit(capsys, chain3_tight):
     code, doc = run_json(capsys, "check-quantale", "--quantale",
                          chain3_tight)

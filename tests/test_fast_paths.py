@@ -275,6 +275,32 @@ def test_adjunction_kernel_matches_definitions(small_lattices):
     assert failed > 100
 
 
+def test_one_adjoint_fold_per_call(monkeypatch):
+    """The fold that decides sup-preservation also gives the adjoints:
+    right_adjoint, left_adjoint and star fold _right_adjoints once per
+    call, and check_negation_formulas once per formula table."""
+    folds = []
+
+    def spy(*args):
+        folds.append(args)
+        return _right_adjoints(*args)
+
+    for module in (finq.lattice, finq.quantale, finq.raney, finq.diamonds):
+        if hasattr(module, "_right_adjoints"):
+            monkeypatch.setattr(module, "_right_adjoints", spy)
+    L = finq.m_lattice(3)
+    f, g = finq.EndoMap(L, [0, 1, 4, 4, 4]), finq.EndoMap(L, [0, 0, 0, 3, 4])
+    for name, call, expected in [
+            ("right_adjoint", lambda: finq.right_adjoint(f), 1),
+            ("left_adjoint", lambda: finq.left_adjoint(g), 1),
+            ("star", lambda: finq.star(f), 1),
+            ("check_negation_formulas",
+             lambda: finq.check_negation_formulas(3), 2)]:
+        folds.clear()
+        call()
+        assert len(folds) == expected, name
+
+
 def test_is_distributive_matches_triple_scan(small_lattices, carriers):
     lattices = list(small_lattices) + [T.quantale.lattice
                                        for T in carriers.values()]

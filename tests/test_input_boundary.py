@@ -9,6 +9,7 @@ import pytest
 
 from finq.diamonds import f_gen, tight_profile_mn
 from finq.errors import ValidationFailed
+from finq.formats import quantale_to_dict
 from finq.lattice import EndoMap, FiniteLattice, LatticeMap, chain, \
     join_of, m_lattice, meet_of
 from finq.nuclei import (
@@ -59,6 +60,7 @@ def _entry_points():
         "trivial_quantale": ([1, 0], 2,
                              lambda t: trivial_quantale(two, (t, [1, 0]))),
         "TightQuantale.index_of": ([0, 1], 2, T.index_of),
+        "quantale_to_dict": ([1, 0], 2, lambda t: quantale_to_dict(Q, t)),
         "tight_profile_mn": ([0, 1, 2, 3], 4,
                              lambda t: tight_profile_mn(2, t)),
         "Nucleus": ([0, 1], 2, lambda t: Nucleus(Q, t)),

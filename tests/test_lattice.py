@@ -90,6 +90,24 @@ def test_build_lattice_errors():
         (1, 2, "least upper bound")
 
 
+def test_build_lattice_refuses_too_few_covers_first():
+    """Every element but the bottom needs a pair entering it, so fewer than
+    n - 1 pairs raise NotBounded before an n x n table is allocated; a
+    cycle among them still names its least element."""
+    with pytest.raises(NotBounded) as err:
+        build_lattice([], 10 ** 30)
+    assert err.value.which == "bottom"
+    with pytest.raises(NotBounded):
+        build_lattice([(3, 4)], 10 ** 6)
+    with pytest.raises(CycleDetected) as err:
+        build_lattice([(0, 1), (1, 0)], 5)
+    assert err.value.node == 0
+
+
+def test_map_repr_prints_plain_integers():
+    assert repr(identity_map(chain(3))) == "EndoMap([0, 1, 2])"
+
+
 def test_join_meet_of(m3):
     assert join_of(m3, [1, 2]) == 4
     assert meet_of(m3, [1, 2]) == 0

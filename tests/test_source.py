@@ -54,3 +54,27 @@ def test_caller_input_goes_through_the_boundary(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = _coercions(tree)
     assert found == [], f"{path.name} coerces caller input at {found}"
+
+
+def _json_conversions(tree):
+    """Lines of .tolist() calls and of comprehensions that call int()."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                ".tolist"):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)) \
+                and any(isinstance(call, ast.Call)
+                        and ast.unparse(call.func) == "int"
+                        for call in ast.walk(node.elt)):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_cli_leaves_json_to_formats():
+    """The verbs put the library's arrays into their reports as they are;
+    finq.formats alone turns numpy values into JSON."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _json_conversions(tree)
+    assert found == [], f"cli.py converts numpy values on lines {found}"
