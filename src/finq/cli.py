@@ -24,7 +24,7 @@ from .diamonds import (
     count_tight_mn,
     positivity_suite_mn,
 )
-from .errors import FinqError, ValidationFailed
+from .errors import FinqError, NotANucleus, ValidationFailed
 from .formats import (
     dumps_report,
     endomap_from_dict,
@@ -38,8 +38,7 @@ from .formats import (
 )
 from .lattice import EndoMap, is_distributive, is_sup_preserving, \
     standard_lattice
-from .nuclei import is_nucleus, phase_quantale, quotient_quantale, \
-    represent_frobenius
+from .nuclei import phase_quantale, quotient_quantale, represent_frobenius
 from .quantale import (
     FrobeniusStructure,
     check_frobenius,
@@ -109,8 +108,7 @@ def _cmd_check_frobenius(args):
     Q, lneg, rneg = _checked_quantale(args.quantale)
     l, r = _negation_pair(Q.lattice, lneg, rneg)
     rep = check_frobenius(Q, l, r)
-    ok = rep.frobenius_valid and rep.shift_holds
-    return ok, rep.to_dict()
+    return rep.frobenius_valid, rep.to_dict()
 
 
 def _cmd_residuals(args):
@@ -137,11 +135,11 @@ def _cmd_chu(args):
 def _cmd_nucleus(args):
     Q, _, _ = _checked_quantale(args.quantale)
     j = endomap_from_dict(load_json(args.endomap), Q.lattice)
-    rep = is_nucleus(Q, j)
-    if not rep.ok:
-        return False, {"nucleus": False, "law": rep.law,
-                       "witness": rep.witness}
-    quot = quotient_quantale(Q, j)
+    try:
+        quot = quotient_quantale(Q, j)
+    except NotANucleus as exc:
+        return False, {"nucleus": False, "law": exc.law,
+                       "witness": exc.witness}
     return True, {"nucleus": True,
                   "closed": quot.closed,
                   "quantale": quantale_to_dict(quot.quantale)}
@@ -237,7 +235,7 @@ def _cmd_report(args):
         l, r = _negation_pair(L, lneg, rneg)
         rep = check_frobenius(Q, l, r)
         bundle["frobenius"] = rep.to_dict()
-        ok = rep.frobenius_valid and rep.shift_holds
+        ok = rep.frobenius_valid
     return ok, bundle
 
 

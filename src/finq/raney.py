@@ -30,7 +30,7 @@ from .lattice import (
     _sup_endomap_images,
     right_adjoint,
 )
-from .nuclei import serre_gc_quotient
+from .nuclei import _serre_quotient
 from .quantale import FrobeniusStructure, Quantale, check_frobenius, \
     check_quantale
 
@@ -376,7 +376,7 @@ def bullet_quantale(L, max_candidates=10 ** 9):
         raise InvariantViolated("perp is a Serre Galois connection",
                                 serre_report.witnesses)
 
-    nuc, quot, Fq = serre_gc_quotient(Q, perp_idx, perp_idx)
+    nuc, quot, Fq = _serre_quotient(Q, perp_idx, perp_idx)
     ranD_idx = index.find(_raney_inf_batch(L, rans_rows), "cotight closure")
     bad = np.flatnonzero(nuc.image != ranD_idx)
     if bad.size:

@@ -34,3 +34,24 @@ def small_lattices():
     """Every battery lattice with at most 5 elements."""
     return [chain(1), chain(2), chain(3), chain(4), chain(5),
             boolean(2), m_lattice(2), m_lattice(3), n5()]
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(name) replaces the function name, in every finq module that
+    binds it, with a wrapper that logs each call's positional arguments
+    and calls the original; it returns the log, a list to read or clear."""
+    def install(name):
+        modules = [module for key, module in sorted(sys.modules.items())
+                   if key.startswith("finq.") and hasattr(module, name)]
+        real = getattr(modules[0], name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+    return install

@@ -11,6 +11,7 @@ give the same outcome, error type and first witness as the full definition.
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 import finq
+from finq.cli import main
 from finq.errors import (
     BottomNotAbsorbed,
     InvariantViolated,
@@ -275,19 +277,11 @@ def test_adjunction_kernel_matches_definitions(small_lattices):
     assert failed > 100
 
 
-def test_one_adjoint_fold_per_call(monkeypatch):
+def test_one_adjoint_fold_per_call(spy):
     """The fold that decides sup-preservation also gives the adjoints:
     right_adjoint, left_adjoint and star fold _right_adjoints once per
     call, and check_negation_formulas once per formula table."""
-    folds = []
-
-    def spy(*args):
-        folds.append(args)
-        return _right_adjoints(*args)
-
-    for module in (finq.lattice, finq.quantale, finq.raney, finq.diamonds):
-        if hasattr(module, "_right_adjoints"):
-            monkeypatch.setattr(module, "_right_adjoints", spy)
+    folds = spy("_right_adjoints")
     L = finq.m_lattice(3)
     f, g = finq.EndoMap(L, [0, 1, 4, 4, 4]), finq.EndoMap(L, [0, 0, 0, 3, 4])
     for name, call, expected in [
@@ -299,6 +293,62 @@ def test_one_adjoint_fold_per_call(monkeypatch):
         folds.clear()
         call()
         assert len(folds) == expected, name
+
+
+def test_one_serre_check_per_quotient(spy, tmp_path):
+    """Each quotient checks its Serre pair and its nucleus once: the
+    public constructors check their input, the internal callers their own
+    facts, and all build through one step. check_frobenius counts the
+    quotient's own Frobenius report too."""
+    T = tight_quantale(finq.m_lattice(2))
+    s = T.frobenius.lneg.image
+    _, quot, F = finq.serre_gc_quotient(T.quantale, s, s)
+    S = finq.cyclic_group(8)
+    R = finq.BinaryRelation(8, (np.add.outer(np.arange(8),
+                                             np.arange(8)) % 8) != 0)
+    C = tight_quantale(finq.chain(3))
+    star = C.frobenius.lneg.image.tolist()
+    qpath, jpath = tmp_path / "q.json", tmp_path / "j.json"
+    qpath.write_text(json.dumps(finq.quantale_to_dict(C.quantale, star,
+                                                      star)))
+    jpath.write_text(json.dumps({"image": list(range(C.n))}))
+    frobenius, nucleus = spy("check_frobenius"), spy("is_nucleus")
+    for name, call, expected in [
+            ("serre_gc_quotient",
+             lambda: finq.serre_gc_quotient(T.quantale, s, s), (2, 1)),
+            ("phase_quantale", lambda: finq.phase_quantale(S, R), (1, 1)),
+            ("bullet_quantale",
+             lambda: finq.bullet_quantale(finq.m_lattice(3)), (2, 1)),
+            ("lift_serre", lambda: finq.lift_serre(
+                T.quantale, quot, F.lneg.image, F.rneg.image), (3, 1)),
+            ("finq nucleus", lambda: main(
+                ["nucleus", "--quantale", str(qpath), "--endomap",
+                 str(jpath), "--out", str(tmp_path / "out.json")]),
+             (0, 1))]:
+        frobenius.clear()
+        nucleus.clear()
+        call()
+        assert (len(frobenius), len(nucleus)) == expected, name
+
+
+def test_relation_flags_are_the_powerset_serre_flags():
+    """phase_quantale takes the Serre flags of (l, r) on the powerset from
+    relation_galois instead of checking them: antitone and is_galois
+    always hold, shift_holds is associative and commutes is
+    weakly_symmetric. Every relation on Z2, Z3 and the left-zero
+    semigroups on 2 and 3 elements, against check_frobenius."""
+    seen = set()
+    for S in (finq.cyclic_group(2), finq.cyclic_group(3),
+              finq.left_zero_semigroup(2), finq.left_zero_semigroup(3)):
+        PQ = finq.powerset_quantale(S)
+        for bits in itertools.product((False, True), repeat=S.n * S.n):
+            gal = finq.relation_galois(S, np.reshape(bits, (S.n, S.n)))
+            rep = check_frobenius(PQ, gal.l, gal.r)
+            assert rep.antitone and rep.is_galois
+            flags = (gal.associative, gal.weakly_symmetric)
+            assert (rep.shift_holds, rep.commutes) == flags, (S, bits)
+            seen.add(flags)
+    assert len(seen) == 4
 
 
 def test_is_distributive_matches_triple_scan(small_lattices, carriers):

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from finq.nuclei import (
 )
 from finq.quantale import (
     FrobeniusStructure,
+    Quantale,
     check_quantale,
     chu,
     element_flags,
@@ -41,6 +45,7 @@ from test_quantale import (
     and_quantale,
     atom_cycle_duality,
     counterexample_3chain,
+    quantale_battery,
 )
 
 
@@ -63,6 +68,31 @@ def test_is_nucleus_witnesses():
     # closure operator that is not laxly multiplicative: j(1)*j(1) = 1 > j(0)
     rep = is_nucleus(Q, [0, 2, 2])
     assert (rep.law, rep.witness) == ("lax_multiplicative", (1, 1))
+
+
+def test_accepted_closure_operators_satisfy_the_split_form():
+    """is_nucleus does not check x*j(y) <= j(x*y) and j(x)*y <= j(x*y):
+    under a monotone multiplication they follow from the laws it checks.
+    Every endomap it accepts on the battery satisfies both."""
+    accepted = 0
+    for Q in quantale_battery():
+        leq, m = Q.lattice.leq, Q.mult
+        for img in oracles.all_endofunctions(Q.lattice):
+            if not is_nucleus(Q, img):
+                continue
+            accepted += 1
+            for x, y in itertools.product(range(Q.n), repeat=2):
+                assert leq[m[x, img[y]], img[m[x, y]]], (Q, img, x, y)
+                assert leq[m[img[x], y], img[m[x, y]]], (Q, img, x, y)
+    assert accepted > 20
+
+
+def test_is_nucleus_on_a_non_monotone_multiplication():
+    """Outside its precondition is_nucleus checks its own laws and claims
+    no defect: here 0 <= 1 but 0*1 = 2 > 1*1 = 0, and j = [1, 1, 2] is a
+    laxly multiplicative closure operator although 0*j(0) = 2 > j(0*0)."""
+    Q = Quantale(chain(3), [[0, 2, 2], [2, 0, 0], [2, 0, 1]])
+    assert is_nucleus(Q, [1, 1, 2])
 
 
 def test_quotient_counterexample():
@@ -159,6 +189,13 @@ def test_lift_serre_rejects_non_duality():
     assert exc.value.flag == "antitone"
 
 
+def test_lift_serre_rejects_a_quotient_of_another_quantale():
+    L = chain(3)
+    quot = quotient_quantale(trivial_quantale(L), [1, 1, 2])
+    with pytest.raises(ValidationFailed):
+        lift_serre(and_quantale(L), quot, [1, 0], [1, 0])
+
+
 def test_representable_flags():
     Q = counterexample_3chain()
     assert representable_flags(Q, [2, 2, 1], [2, 2, 1]) == \
@@ -223,6 +260,22 @@ def test_powerset_budget():
         powerset_quantale(cyclic_group(12))
     with pytest.raises(BudgetExceeded):
         powerset_quantale(cyclic_group(4), max_elements=3)
+
+
+def test_phase_refuses_before_building_the_galois_maps():
+    """The powerset budget is checked before relation_galois allocates, so
+    it also comes before the relation's own flags."""
+    ar = np.arange(19)
+    S = cyclic_group(19)
+    R = BinaryRelation(19, np.add.outer(ar, ar) % 19 != 0)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        phase_quantale(S, R)
+    assert time.perf_counter() - t0 < 0.05
+    assert exc.value.what == "powerset tables"
+    with pytest.raises(BudgetExceeded):
+        phase_quantale(left_zero_semigroup(2), BinaryRelation(
+            2, [[True, True], [False, False]]), max_elements=1)
 
 
 def orthogonality_z2():

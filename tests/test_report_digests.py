@@ -16,6 +16,7 @@ import finq
 from finq.cli import main
 
 Z3 = [[(x + y) % 3 for y in range(3)] for x in range(3)]
+Z5 = [[(x + y) % 5 for y in range(5)] for x in range(5)]
 
 # name -> (argv, exit code, sha256 of the report); {name} is an input file
 CASES = {
@@ -76,6 +77,15 @@ CASES = {
     "phase Z3": (
         ["phase", "--semigroup", "{z3}", "--relation", "{z3rel}"], 0,
         "a55eacab77d25d116e53ea97c92681cb03b7e6e93fe689bec6038759e6fe3fb1"),
+    "phase Z5 sum in {0, 1}": (
+        ["phase", "--semigroup", "{z5}", "--relation", "{z5rel}"], 0,
+        "e233905370e4156df236663912a16153d124ed8654cf3c1325eb5e7c5ecc490f"),
+    "phase Z2 not associative": (
+        ["phase", "--semigroup", "{z2}", "--relation", "{rows}"], 1,
+        "5e5a6ef022c710cc98dc9317afec304efaad7aa8de69bc73bc34d10c6c9a8a91"),
+    "phase left-zero(2) not weakly symmetric": (
+        ["phase", "--semigroup", "{lz2}", "--relation", "{rows}"], 1,
+        "a84f29624a72bb0429e64bfb939ae67ed0b4500ab11a1e64761fb78370edb1e7"),
     "represent chain(3)": (
         ["represent", "--quantale", "{chain3}"], 0,
         "8eb50e85ab941b2edd6fefe20a8721a61c7e8bdcad6f28f1e804370f588e4d49"),
@@ -129,6 +139,11 @@ def inputs(tmp_path_factory):
         "swap6": {"image": [5, 1, 2, 3, 4, 0]},
         "z3": {"n": 3, "op": Z3},
         "z3rel": {"rel": [[v != 0 for v in row] for row in Z3]},
+        "z5": {"n": 5, "op": Z5},
+        "z5rel": {"rel": [[v in (0, 1) for v in row] for row in Z5]},
+        "z2": {"n": 2, "op": [[0, 1], [1, 0]]},
+        "lz2": {"n": 2, "op": [[0, 0], [1, 1]]},
+        "rows": {"rel": [[True, True], [False, False]]},
     }
     paths = {}
     for name, payload in files.items():
