@@ -4,12 +4,12 @@ Every verb is a thin shell around one library operation (or a fixed
 pipeline of them). Reports are deterministic JSON on standard out (or
 --out), human summaries go to standard error, and the exit code is 0 when
 all checks pass, 1 when a mathematical check fails (witnesses in the
-report), 2 on parse, validation, or budget errors, and 3 when one of the
-library's own invariants fails (InvariantViolated: a defect in finq, with
-the witness in the report). A raised error's code is its class's
-FinqError.exit_code. A verb puts the library's arrays and to_dict()
-results into its report as they are; finq.formats alone turns them into
-JSON.
+report), 2 on parse, validation, or budget errors and an unwritable
+--out, and 3 when one of the library's own invariants fails
+(InvariantViolated: a defect in finq, with the witness in the report).
+A raised error's code is its class's FinqError.exit_code. A verb puts
+the library's arrays and to_dict() results into its report as they are;
+finq.formats alone turns them into JSON.
 """
 
 import argparse
@@ -297,13 +297,22 @@ def _build_parser():
 
 
 def _emit(args, payload):
+    """Write the report to --out, or to standard out without it; False,
+    after a one-line message on standard error, when --out cannot be
+    written."""
     text = dumps_report(payload)
     out = getattr(args, "out", None)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"finq {args.verb}: error: cannot write {out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _error_payload(exc):
@@ -323,13 +332,14 @@ def main(argv=None):
     except FinqError as exc:
         status, word = _OUTCOMES[exc.exit_code]
         envelope.update(status=status, error=_error_payload(exc))
-        _emit(args, envelope)
-        print(f"finq {args.verb}: {word}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    envelope.update(status="pass" if ok else "fail", report=report)
-    _emit(args, envelope)
-    print(f"finq {args.verb}: {'pass' if ok else 'fail'}", file=sys.stderr)
-    return 0 if ok else 1
+        code, summary = exc.exit_code, f"{word}: {exc}"
+    else:
+        envelope.update(status="pass" if ok else "fail", report=report)
+        code, summary = (0, "pass") if ok else (1, "fail")
+    if not _emit(args, envelope):
+        return 2
+    print(f"finq {args.verb}: {summary}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -159,6 +159,14 @@ class FiniteLattice:
         return _frozen(np.ascontiguousarray(np.argwhere(cov)))
 
     @cached_property
+    def _fold_covers(self):
+        """covers as pairs (w, z) by the downset size of z, so that every
+        cover into w comes before every cover out of w."""
+        cov = self.cover_array
+        return cov[np.argsort(self.leq.sum(axis=0)[cov[:, 1]],
+                              kind="stable")].tolist()
+
+    @cached_property
     def join_irreducibles(self):
         """Elements that are not the join of the elements strictly below
         them, read off the order. Every element is the join of the
@@ -280,6 +288,15 @@ def build_lattice(covers, n, labels=None):
         raise NotBounded("bottom")
     leq = closure | np.eye(n, dtype=bool)
     return FiniteLattice.from_leq(leq, labels)
+
+
+def _downset_fold(L, table, vals):
+    """Fold a join or meet table over every downset, in place: vals[x], on
+    the first axis, becomes the fold of the vals[u] for u <= x. One step
+    vals[z] = table[vals[z], vals[w]] per cover (w, z), w final by then."""
+    for w, z in L._fold_covers:
+        vals[z] = table[vals[z], vals[w]]
+    return vals
 
 
 def join_of(L, S):

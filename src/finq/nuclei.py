@@ -27,7 +27,9 @@ from .errors import (
 from .lattice import (
     EndoMap,
     FiniteLattice,
+    LatticeMap,
     _bool_table,
+    _downset_fold,
     _endo_image,
     _frozen,
     _index_array,
@@ -74,13 +76,14 @@ def is_nucleus(Q, j):
     """Check the closure-operator laws and lax multiplicativity of j.
 
     Returns a report carrying the first violated law and a witness; an
-    image of the wrong length or range is the law "shape". Q must have a
-    monotone multiplication: then the split form x*j(y) <= j(x*y) follows
-    from x*j(y) <= j(x)*j(y) <= j(x*y), and j(x)*y <= j(x*y) likewise.
+    image array of the wrong length or range is the law "shape", while a
+    Nucleus or EndoMap of another quantale or lattice raises
+    ValidationFailed. Q must have a monotone multiplication: then the
+    split form x*j(y) <= j(x*y) follows from x*j(y) <= j(x)*j(y) <=
+    j(x*y), and j(x)*y <= j(x*y) likewise.
     """
     n, leq = Q.n, Q.lattice.leq
-    img = _index_array(j.image if isinstance(j, (Nucleus, EndoMap)) else j,
-                       "nucleus image", None, None)
+    img = _index_array(_map_image(Q, j), "nucleus image", None, None)
     if img.shape != (n,) or img.min() < 0 or img.max() >= n:
         return NucleusReport(False, "shape", None)
     ar = np.arange(n)
@@ -100,6 +103,19 @@ def is_nucleus(Q, j):
         return NucleusReport(False, "lax_multiplicative",
                              tuple(map(int, bad[0])))
     return NucleusReport(True, None, None)
+
+
+def _map_image(Q, j):
+    """The image of j, a Nucleus of Q or an EndoMap of its lattice
+    (ValidationFailed for one of another), or j itself."""
+    if isinstance(j, Nucleus):
+        if j.quantale != Q:
+            raise ValidationFailed("the nucleus belongs to a different "
+                                   "quantale")
+        return j.image
+    if isinstance(j, LatticeMap):
+        return _endo_image(j, Q.lattice, "nucleus")
+    return j
 
 
 @dataclass(frozen=True)
@@ -128,10 +144,10 @@ def quotient_quantale(Q, j):
     elements, with its tables from FiniteLattice.from_leq (its joins are j
     of the ambient joins, its meets the ambient ones). The induced
     multiplication is x *_j y = j(x * y). The projection j: Q -> Q_j is
-    checked to be a surjective quantale homomorphism.
+    checked to be a surjective quantale homomorphism. A Nucleus or EndoMap
+    of another quantale or lattice raises ValidationFailed.
     """
-    nuc = j if isinstance(j, Nucleus) else \
-        Nucleus(Q, j.image if isinstance(j, EndoMap) else j)
+    nuc = j if isinstance(j, Nucleus) else Nucleus(Q, _map_image(Q, j))
     rep = is_nucleus(Q, nuc)
     if not rep:
         raise NotANucleus(rep.law, rep.witness)
@@ -467,13 +483,6 @@ def _intersection_closure(seeds):
     return family
 
 
-def _disjoint_rows(a, b):
-    """[i, k] is True when the boolean rows a[i] and b[k] share no True
-    entry; one packed-bit step per row of a."""
-    pa, pb = np.packbits(a, axis=1), np.packbits(b, axis=1)
-    return np.array([~(row & pb).any(axis=1) for row in pa])
-
-
 def _bitmasks(rows):
     """Each boolean row as an int whose bit u is the row's entry u."""
     packed = np.packbits(rows, axis=1, bitorder="little")
@@ -512,17 +521,38 @@ class RepresentationReport:
 def represent_frobenius(Q, F):
     """Verify the principal-downset representation of a Frobenius quantale.
 
-    Works on downset bitmasks over the carrier, never on the full powerset.
-    Checks, with witnesses: the induced relation is associative and weakly
-    symmetric at the level of singleton images; the intersection closure of
-    the r-images is exactly the family of principal downsets; x -> downset
-    is bijective and transports multiplication, joins, meets and both
-    negations; and joining a downset returns its generator.
+    F must be a Frobenius structure on Q (else ValidationFailed) and Q keep
+    the Quantale contract, under which the residual tables are adjoints,
+    as for check_frobenius. For l = lneg, r = rneg, x R y iff x <= l(y),
+    set_l(Y) = {u | u R y for y in Y} and set_r(Z) = {w | z R w for z in
+    Z}, each flag and the witness of its set-level check are read off
+    N x N or length-N tables; meet_l[y], the meet of l over down y, and
+    every fold over the downsets are lattice._downset_fold.
+    - associative_relation, x*y R z iff x R y*z: as x*y <= w iff x <= w/y,
+      it is l(z)/y = l(y*z); on failure the rows x are scanned in order
+      for the first triple.
+    - r_singletons_principal: set_r({x}) = down r(x); the intersection
+      closure of these, on bitmasks, is the principal downsets
+      (closed_family_is_principal_downsets) and holds each set_l({y})
+      (l_singletons_r_closed); weakly_symmetric: both singleton flags.
+    - mult_transport: x*y is the join of {a*b | a <= x, b <= y}, the fold
+      of mult over the rows, then the columns.
+    - negation_transport: set_l(down y) = down meet_l[y] is down l(y), and
+      set_r(down x), row x of R by the order axioms, is down r(x).
+    - join_transport: set_r(down x | down y) = set_r(down (x v y)), so the
+      flag is set_l(set_r(down x)) = down x. An inverse antitone pair has
+      x <= l(w) iff w <= r(x), so set_r(down x) = down r(x) and the flag
+      is meet_l[r(x)] = x.
+    - meet_transport: down x & down y = down (x ^ y), on packed rows;
+      round_trip: each downset joins to its generator.
     """
+    if F.quantale != Q:
+        raise ValidationFailed("the Frobenius structure belongs to a "
+                               "different quantale")
     if not F.report.frobenius_valid:
         raise ValidationFailed("not a valid Frobenius structure")
-    n = Q.n
-    leq = Q.lattice.leq
+    n, L, ar = Q.n, Q.lattice, np.arange(Q.n)
+    leq, jt, mt = L.leq, L.join_table, L.meet_table
     l_arr, r_arr = F.lneg.image, F.rneg.image
     flags, witnesses = {}, {}
 
@@ -531,67 +561,35 @@ def represent_frobenius(Q, F):
         if not ok and wit is not None:
             witnesses[name] = wit
 
-    # relation x R y iff x <= lneg(y)
+    lhs, rhs = Q.right_residual_table[l_arr].T, l_arr[Q.mult]
+    bad, wit = np.argwhere(lhs != rhs), None
+    if bad.size:
+        a, b = lhs[tuple(bad.T)], rhs[tuple(bad.T)]
+        x = next(x for x in range(n) if (leq[x, a] != leq[x, b]).any())
+        wit = (x, *map(int, bad[np.argmax(leq[x, a] != leq[x, b])]))
+    record("associative_relation", not bad.size, wit)
+
     Rbool = leq[:, l_arr]
-    lhs = Rbool[Q.mult, :]
-    rhs = Rbool[:, Q.mult]
-    ok = bool((lhs == rhs).all())
-    wit = None if ok else tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
-    record("associative_relation", ok, wit)
-
-    # downsets and relation rows as bitmasks: bit u of down[x] is u <= x
     down = _bitmasks(leq.T)
-    rrow = _bitmasks(Rbool)
-    full = (1 << n) - 1
-
-    # r({x}) is the principal downset of rneg(x): the set-level form of the
-    # Galois-connection law x <= lneg(u) iff u <= rneg(x)
     ok_r = bool((Rbool == leq[:, r_arr].T).all())
     record("r_singletons_principal", ok_r)
-
-    family = _intersection_closure([full] + rrow)
+    family = _intersection_closure([(1 << n) - 1] + _bitmasks(Rbool))
     record("closed_family_is_principal_downsets",
            family == set(down) and len(set(down)) == n)
-
-    # dual weak-symmetry condition: every l-image of a singleton lies in
-    # the closure family generated by the r-images
     ok_l = all(down[y] in family for y in l_arr)
     record("l_singletons_r_closed", ok_l)
     record("weakly_symmetric", ok_r and ok_l)
 
-    # join of {a*b | a <= x, b <= y}, folded over b and then over a
-    jt, mt = Q.lattice.join_table, Q.lattice.meet_table
-    part = np.full((n, n), Q.lattice.bot, dtype=np.int64)
-    for b in range(n):
-        np.copyto(part, jt[part, Q.mult[:, b, None]], where=leq[None, b, :])
-    gen = np.full((n, n), Q.lattice.bot, dtype=np.int64)
-    for a in range(n):
-        np.copyto(gen, jt[gen, part[None, a, :]], where=leq[a, :, None])
-    bad = np.argwhere(gen != Q.mult)
+    gen = _downset_fold(L, jt, _downset_fold(L, jt, Q.mult.copy()).T)
+    bad = np.argwhere(gen.T != Q.mult)
     record("mult_transport", not bad.size,
            tuple(int(v) for v in bad[0]) if bad.size else None)
 
-    # set_l(Y) = {u | u R y for all y in Y} and set_r(Z) = {w | z R w for
-    # all z in Z} on downsets: u is in when no member of Y is outside R(u, .)
-    set_l_down = _disjoint_rows(leq.T, ~Rbool)
-    set_r_down = _disjoint_rows(leq.T, ~Rbool.T)
-    record("negation_transport",
-           (set_l_down == leq[:, l_arr].T).all()
-           and (set_r_down == leq[:, r_arr].T).all())
-
-    # set_r(down x | down y) = set_r(down x) & set_r(down y), which is
-    # set_r(down(x v y)) in a lattice: the closure of the union is the
-    # closure of one downset, and every element is some x v y
-    closure = _disjoint_rows(set_r_down, ~Rbool)
-    record("join_transport", (closure == leq.T).all())
-    # down x & down y is the downset of x ^ y, on packed rows
+    meet_l = _downset_fold(L, mt, l_arr.copy())
+    record("negation_transport", (meet_l == l_arr).all() and ok_r)
+    record("join_transport", (meet_l[r_arr] == ar).all())
     packed = np.packbits(leq.T, axis=1)
     record("meet_transport", all(
         np.array_equal(packed[x] & packed, packed[mt[x]]) for x in range(n)))
-
-    # the join of each downset, folded over its members
-    acc = np.full(n, Q.lattice.bot, dtype=np.int64)
-    for u in range(n):
-        acc = np.where(leq[u], jt[acc, u], acc)
-    record("round_trip", (acc == np.arange(n)).all())
+    record("round_trip", (_downset_fold(L, jt, ar.copy()) == ar).all())
     return RepresentationReport(flags, witnesses)

@@ -66,9 +66,9 @@ class Quantale:
         return int(self.mult[x, y])
 
     def __eq__(self, other):
-        return (isinstance(other, Quantale)
-                and self.lattice == other.lattice
-                and np.array_equal(self.mult, other.mult))
+        return self is other or (isinstance(other, Quantale)
+                                 and self.lattice == other.lattice
+                                 and np.array_equal(self.mult, other.mult))
 
     def __hash__(self):
         return hash((self.lattice, self.mult.tobytes()))

@@ -23,6 +23,7 @@ from .lattice import (
     _BLOCK_ENTRIES,
     EndoMap,
     FiniteLattice,
+    _downset_fold,
     _endo_image,
     _index_array,
     _right_adjoints,
@@ -175,17 +176,14 @@ def _meet_closure_batch(L, imgs):
 
     Fixpoint repair: force top |-> top, then per pass add g(x) ^ g(y) into
     g(x ^ y) for the incomparable pairs (comparable ones hold for monotone
-    g) and restore monotonicity along the covers in a linear extension,
-    until a pass changes nothing. Each step is forced in any
+    g) and restore monotonicity by lattice._downset_fold of the join
+    table, until a pass changes nothing. Each step is forced in any
     meet-preserving majorant, so the fixpoint is the least one. Rows are
     dropped from the pass as soon as they are stable.
     """
     n, jt, mt, leq = L.n, L.join_table, L.meet_table, L.leq
     xs, ys = np.nonzero(np.triu(~(leq | leq.T)))
     meets = [(int(x), int(y), int(mt[x, y])) for x, y in zip(xs, ys)]
-    # downset sizes grow strictly along the order: a linear extension
-    height = leq.sum(axis=0)
-    covers = sorted(L.covers, key=lambda c: height[c[1]])
     g = imgs.reshape(-1, n).T.copy()
     g[L.top] = L.top
     active = np.arange(g.shape[1])
@@ -194,8 +192,7 @@ def _meet_closure_batch(L, imgs):
         prev = h.copy()
         for x, y, z in meets:
             h[z] = jt[h[z], mt[h[x], h[y]]]
-        for w, z in covers:
-            h[z] = jt[h[z], h[w]]
+        _downset_fold(L, jt, h)
         g[:, active] = h
         active = active[(h != prev).any(axis=0)]
     return g.T.reshape(imgs.shape)

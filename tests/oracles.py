@@ -9,7 +9,10 @@ import itertools
 
 import numpy as np
 
+from finq.errors import ValidationFailed
 from finq.lattice import FiniteLattice, join_of, meet_of
+from finq.nuclei import RepresentationReport, _bitmasks, \
+    _intersection_closure
 
 
 def all_endofunctions(L):
@@ -272,3 +275,96 @@ def rans_right_adjoint(L, img):
         mask = ~L.leq[img[t], :]
         out[mask] = mt[out[mask], t]
     return out
+
+
+def _disjoint_rows(a, b):
+    """[i, k] is True when the boolean rows a[i] and b[k] share no True
+    entry; one packed-bit step per row of a."""
+    pa, pb = np.packbits(a, axis=1), np.packbits(b, axis=1)
+    return np.array([~(row & pb).any(axis=1) for row in pa])
+
+
+def represent_bruteforce(Q, F):
+    """represent_frobenius on sets: the same report, each flag read off
+    the downsets and relation rows themselves. The relation's
+    associativity is compared on two N^3 tables, the transport of
+    multiplication and the round trip are folds of N x N tables over every
+    element, and the set-level negations are _disjoint_rows of the
+    downsets against the relation rows.
+    """
+    if not F.report.frobenius_valid:
+        raise ValidationFailed("not a valid Frobenius structure")
+    n = Q.n
+    leq = Q.lattice.leq
+    l_arr, r_arr = F.lneg.image, F.rneg.image
+    flags, witnesses = {}, {}
+
+    def record(name, ok, wit=None):
+        flags[name] = bool(ok)
+        if not ok and wit is not None:
+            witnesses[name] = wit
+
+    # relation x R y iff x <= lneg(y)
+    Rbool = leq[:, l_arr]
+    lhs = Rbool[Q.mult, :]
+    rhs = Rbool[:, Q.mult]
+    ok = bool((lhs == rhs).all())
+    wit = None if ok else tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
+    record("associative_relation", ok, wit)
+
+    # downsets and relation rows as bitmasks: bit u of down[x] is u <= x
+    down = _bitmasks(leq.T)
+    rrow = _bitmasks(Rbool)
+    full = (1 << n) - 1
+
+    # r({x}) is the principal downset of rneg(x): the set-level form of the
+    # Galois-connection law x <= lneg(u) iff u <= rneg(x)
+    ok_r = bool((Rbool == leq[:, r_arr].T).all())
+    record("r_singletons_principal", ok_r)
+
+    family = _intersection_closure([full] + rrow)
+    record("closed_family_is_principal_downsets",
+           family == set(down) and len(set(down)) == n)
+
+    # dual weak-symmetry condition: every l-image of a singleton lies in
+    # the closure family generated by the r-images
+    ok_l = all(down[y] in family for y in l_arr)
+    record("l_singletons_r_closed", ok_l)
+    record("weakly_symmetric", ok_r and ok_l)
+
+    # join of {a*b | a <= x, b <= y}, folded over b and then over a
+    jt, mt = Q.lattice.join_table, Q.lattice.meet_table
+    part = np.full((n, n), Q.lattice.bot, dtype=np.int64)
+    for b in range(n):
+        np.copyto(part, jt[part, Q.mult[:, b, None]], where=leq[None, b, :])
+    gen = np.full((n, n), Q.lattice.bot, dtype=np.int64)
+    for a in range(n):
+        np.copyto(gen, jt[gen, part[None, a, :]], where=leq[a, :, None])
+    bad = np.argwhere(gen != Q.mult)
+    record("mult_transport", not bad.size,
+           tuple(int(v) for v in bad[0]) if bad.size else None)
+
+    # set_l(Y) = {u | u R y for all y in Y} and set_r(Z) = {w | z R w for
+    # all z in Z} on downsets: u is in when no member of Y is outside R(u, .)
+    set_l_down = _disjoint_rows(leq.T, ~Rbool)
+    set_r_down = _disjoint_rows(leq.T, ~Rbool.T)
+    record("negation_transport",
+           (set_l_down == leq[:, l_arr].T).all()
+           and (set_r_down == leq[:, r_arr].T).all())
+
+    # set_r(down x | down y) = set_r(down x) & set_r(down y), which is
+    # set_r(down(x v y)) in a lattice: the closure of the union is the
+    # closure of one downset, and every element is some x v y
+    closure = _disjoint_rows(set_r_down, ~Rbool)
+    record("join_transport", (closure == leq.T).all())
+    # down x & down y is the downset of x ^ y, on packed rows
+    packed = np.packbits(leq.T, axis=1)
+    record("meet_transport", all(
+        np.array_equal(packed[x] & packed, packed[mt[x]]) for x in range(n)))
+
+    # the join of each downset, folded over its members
+    acc = np.full(n, Q.lattice.bot, dtype=np.int64)
+    for u in range(n):
+        acc = np.where(leq[u], jt[acc, u], acc)
+    record("round_trip", (acc == np.arange(n)).all())
+    return RepresentationReport(flags, witnesses)

@@ -469,6 +469,20 @@ def test_out_flag_writes_file_and_keeps_stdout_empty(capsys, tmp_path):
     assert doc["report"]["counted"] == 16
 
 
+@pytest.mark.parametrize("lattice", ["M(3)", "dual(X(3))"])
+def test_unwritable_out_is_a_one_line_error(capsys, tmp_path, lattice):
+    """An --out that cannot be opened exits 2 with one stderr line naming
+    it, whether the verb passed or raised."""
+    target = str(tmp_path / "no" / "such" / "x.json")
+    code, out, err = run(capsys, "check-lattice", "--lattice", lattice,
+                         "--out", target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"finq check-lattice: error: cannot write "
+                          f"{target}: ")
+    assert err.count("\n") == 1
+
+
 def test_reports_are_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -7,11 +7,13 @@ rescans only on failure; the residual tables are its adjoints;
 check_frobenius reads the shift relation off the Serre identity;
 is_distributive asks whether every irreducible is join-prime. Each must
 give the same outcome, error type and first witness as the full definition.
+None of them may hold more than a few N x N tables at once.
 """
 
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,13 +30,24 @@ from finq.errors import (
     NotDistributive,
 )
 from finq.lattice import (
+    FiniteLattice,
     _adjunction_holds,
+    _downset_fold,
     _right_adjoints,
     _sup_witness,
     is_distributive,
+    join_of,
+    meet_of,
     standard_lattice,
 )
-from finq.quantale import check_frobenius, check_quantale, chu
+from finq.nuclei import represent_frobenius
+from finq.quantale import (
+    FrobeniusStructure,
+    check_frobenius,
+    check_quantale,
+    chu,
+    dual_mult_table,
+)
 from finq.raney import tight_quantale
 
 CARRIER_SPECS = ("M(2)", "M(3)", "N5", "product(chain(2),chain(2))")
@@ -211,6 +224,21 @@ def test_covers_match_bruteforce(small_lattices, carriers):
         assert L.covers == oracles.covers_bruteforce(L)
 
 
+def test_downset_fold_matches_definition(small_lattices, carriers):
+    """_downset_fold leaves at each x the join, or meet, of the entries at
+    every u <= x, column by column."""
+    rng = np.random.default_rng(7)
+    lattices = list(small_lattices) + [T.quantale.lattice
+                                       for T in carriers.values()]
+    for L in lattices + [L.dual() for L in lattices]:
+        vals = rng.integers(0, L.n, size=(L.n, 3))
+        for table, fold in ((L.join_table, join_of),
+                            (L.meet_table, meet_of)):
+            want = [[fold(L, vals[L.leq[:, x], c].tolist())
+                     for c in range(3)] for x in range(L.n)]
+            assert np.array_equal(_downset_fold(L, table, vals.copy()), want)
+
+
 def test_chu_failed_validation_is_an_invariant_violation(monkeypatch):
     real = finq.quantale.check_frobenius
 
@@ -360,3 +388,39 @@ def test_is_distributive_matches_triple_scan(small_lattices, carriers):
         assert is_distributive(L) == expected
         seen.add(expected)
     assert seen == {True, False}
+
+
+@pytest.fixture(scope="module")
+def tight_m5():
+    """tight(M(5)) (N = 262) as check_quantale returns it, with its star
+    pair's report computed."""
+    T = tight_quantale(standard_lattice("M(5)"))
+    Q = check_quantale(T.quantale.lattice, T.quantale.mult)
+    F = FrobeniusStructure(Q, T.frobenius.lneg, T.frobenius.rneg)
+    assert F.report.frobenius_valid
+    return Q, F
+
+
+MEMORY_CALLS = {
+    "check_quantale": lambda Q, F: check_quantale(Q.lattice, Q.mult),
+    "check_frobenius": lambda Q, F: check_frobenius(Q, F.lneg, F.rneg),
+    "dual_mult_table": lambda Q, F: dual_mult_table(F),
+    "represent_frobenius": lambda Q, F: represent_frobenius(Q, F),
+    "from_leq": lambda Q, F: FiniteLattice.from_leq(Q.lattice.leq),
+    "tight_quantale": lambda Q, F: tight_quantale(standard_lattice("M(5)")),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MEMORY_CALLS))
+def test_peak_memory_is_a_few_tables(tight_m5, call):
+    """On tight(M(5)) each call peaks below 8 N x N int64 tables (4.2 MiB
+    for N = 262), as traced by tracemalloc: one N^3 bool intermediate
+    alone would be 18 MB."""
+    Q, F = tight_m5
+    tracemalloc.start()
+    try:
+        MEMORY_CALLS[call](Q, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * Q.n * Q.n * 8, f"{peak / 2 ** 20:.1f} MiB"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -14,7 +15,7 @@ from finq.errors import (
     NotWeaklySymmetric,
     ValidationFailed,
 )
-from finq.lattice import EndoMap, chain, m_lattice
+from finq.lattice import EndoMap, chain, m_lattice, standard_lattice
 from finq.nuclei import (
     BinaryRelation,
     FiniteSemigroup,
@@ -34,6 +35,7 @@ from finq.nuclei import (
 from finq.quantale import (
     FrobeniusStructure,
     Quantale,
+    check_frobenius,
     check_quantale,
     chu,
     element_flags,
@@ -41,6 +43,7 @@ from finq.quantale import (
     frobenius_from_dualizing,
     trivial_quantale,
 )
+from finq.raney import tight_quantale
 from test_quantale import (
     and_quantale,
     atom_cycle_duality,
@@ -383,6 +386,84 @@ def test_represent_rejects_invalid():
                            EndoMap(Q.lattice, [0, 1]))
     with pytest.raises(ValidationFailed):
         represent_frobenius(Q, F)
+
+
+_REPRESENT_TIGHT = ("chain(2)", "chain(3)", "M(2)", "M(3)", "N5",
+                    "boolean(2)", "M(4)", "dual(M(3))",
+                    "product(chain(2),chain(2))")
+
+
+def _represent_valid_cases():
+    for spec in _REPRESENT_TIGHT:
+        T = tight_quantale(standard_lattice(spec))
+        yield f"tight {spec}", T.quantale, T.frobenius
+    F = trivial_quantale(chain(2), duality=([1, 0], [1, 0]))
+    yield "chain(2) duality", F.quantale, F
+    L, l, r = atom_cycle_duality()
+    F = trivial_quantale(L, duality=(l, r))
+    yield "atom-cycle duality", F.quantale, F
+    yield "chu trivial chain(2)", *chu(trivial_quantale(chain(2)))
+    yield "chu tight M(2)", *chu(tight_quantale(m_lattice(2)).quantale)
+
+
+def _represent_twisted_cases():
+    """lneg = star o alpha and rneg its inverse, for alpha(f) = s o f o s^-1
+    and each atom permutation s of M(k), on the tight quantale and on the
+    trivial quantale of its carrier. The pair is inverse and antitone, but
+    need not satisfy the Serre identity: F.report is check_frobenius's
+    with only serre_identity forced true, so the flags can fail."""
+    for k in (2, 3):
+        T = tight_quantale(m_lattice(k))
+        star = T.frobenius.lneg.image
+        lat = T.quantale.lattice
+        for perm in itertools.permutations(range(1, k + 1)):
+            s = np.array((0, *perm, k + 1))
+            s_inv = np.argsort(s)
+            alpha = np.array([T.index_of(EndoMap(T.lattice, s[f.image[s_inv]]))
+                              for f in T.elements])
+            lneg = star[alpha]
+            rneg = np.argsort(lneg)
+            for name, Q in (("tight", T.quantale),
+                            ("trivial", trivial_quantale(lat))):
+                F = FrobeniusStructure(Q, EndoMap(lat, lneg),
+                                       EndoMap(lat, rneg))
+                F.__dict__["report"] = dataclasses.replace(
+                    check_frobenius(Q, lneg, rneg), serre_identity=True)
+                yield f"{name} M({k}) atoms {perm}", Q, F
+
+
+def test_represent_matches_set_level_oracle():
+    """represent_frobenius's tables give the oracle's report on valid
+    structures and, flags and witnesses alike, on twisted pairs."""
+    failing = set()
+    for name, Q, F in [*_represent_valid_cases(),
+                       *_represent_twisted_cases()]:
+        got = represent_frobenius(Q, F).to_dict()
+        assert got == oracles.represent_bruteforce(Q, F).to_dict(), name
+        if not got["passed"]:
+            failing.add(name)
+            assert got["witnesses"], name
+    assert failing and all("atoms" in name for name in failing)
+
+
+def test_structures_must_belong_to_the_quantale():
+    """A Frobenius structure, nucleus or map of another quantale or
+    lattice is refused, not checked on the wrong object."""
+    L = chain(3)
+    T = tight_quantale(L)
+    meet = check_quantale(T.quantale.lattice, T.quantale.lattice.meet_table)
+    with pytest.raises(ValidationFailed):
+        represent_frobenius(meet, T.frobenius)
+    other = Nucleus(check_quantale(L, L.meet_table), [1, 1, 2])
+    with pytest.raises(ValidationFailed):
+        quotient_quantale(trivial_quantale(L), other)
+    Q = counterexample_3chain()
+    dual_map = EndoMap(L.dual(), [1, 1, 2])
+    for check in (quotient_quantale, is_nucleus):
+        with pytest.raises(ValidationFailed):
+            check(Q, dual_map)
+    assert quotient_quantale(Q, EndoMap(L, [1, 1, 2])).closed == (1, 2)
+    assert is_nucleus(Q, [1, 1]) == (False, "shape", None)
 
 
 def test_commuting_images_on_valid_pairs():
