@@ -112,7 +112,13 @@ class FiniteLattice:
             raise ValidationFailed("order not antisymmetric")
         if (_composed(leq) & ~leq).any():
             raise ValidationFailed("order not transitive")
+        return cls._from_order(leq, labels)
 
+    @classmethod
+    def _from_order(cls, leq, labels):
+        """from_leq for a bool table its caller knows to be a partial
+        order: the bounds and the tables, no order axiom checked again."""
+        n = len(leq)
         bots = np.flatnonzero(leq.all(axis=1))
         if bots.size != 1:
             raise NotBounded("bottom")
@@ -264,7 +270,9 @@ def build_lattice(covers, n, labels=None):
     upper or greatest lower bound. Fewer than n - 1 pairs leave two minimal
     elements (all others have a pair entering them): then only the listed
     elements are closed, for a cycle, before NotBounded, so no n x n table
-    is allocated.
+    is allocated. Squared to a fixpoint, the closure is transitive; with no
+    cycle and the diagonal added it is a partial order, which
+    FiniteLattice._from_order takes without checking it again.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n <= 0:
         raise ValidationFailed("element count must be a positive integer")
@@ -287,7 +295,7 @@ def build_lattice(covers, n, labels=None):
     if unbounded:
         raise NotBounded("bottom")
     leq = closure | np.eye(n, dtype=bool)
-    return FiniteLattice.from_leq(leq, labels)
+    return FiniteLattice._from_order(leq, labels)
 
 
 def _downset_fold(L, table, vals):

@@ -348,11 +348,13 @@ def bullet_quantale(L, max_candidates=10 ** 9):
     pointwise, and FiniteLattice.from_leq derives the joins and meets from
     it. Products are batched meet closures; perp is rani of the batched
     left adjoints. Verifies the quantale laws, the Serre Galois connection
-    perp, that its nucleus is the cotight closure, the quotient
-    multiplication formula rani(rans(g) o rans(f)), and that rans is an
+    perp, that its nucleus is the cotight closure, and that rans is an
     isomorphism from the cotight quotient onto tight_quantale(L)
-    transporting perp to star; a failure of the last four is a library
-    defect and raises InvariantViolated.
+    transporting perp to star; a failure of the last three is a library
+    defect and raises InvariantViolated. The quotient product is then
+    rani(rans(g) o rans(f)) with no table of its own: a closed q is
+    rani(rans(q)), as the nucleus is the cotight closure, and the iso's
+    mult flag gives rans(g *_j f) = rans(g) o rans(f).
     """
     D = L.dual()
     imgs = _sup_endomap_images(D, max_candidates)
@@ -380,19 +382,9 @@ def bullet_quantale(L, max_candidates=10 ** 9):
         raise InvariantViolated("the Serre nucleus is the cotight closure",
                                 (int(bad[0]),))
 
-    # on cotight maps the induced product is rani(rans(g) o rans(f))
     sub = np.asarray(quot.closed, dtype=np.int64)
-    rs = rans_rows[sub]
-    direct = _pair_table(rs, rs, lambda a, b: index.find(
-        _raney_inf_batch(L, a[:, b]), "quotient product"))
-    bad = np.argwhere(direct != sub[quot.quantale.mult])
-    if bad.size:
-        raise InvariantViolated(
-            "the quotient product is rani(rans(g) o rans(f))",
-            tuple(int(v) for v in bad[0]))
-
     T = tight_quantale(L, max_candidates=max_candidates)
-    mapping = T._index.find(rs, "rans image")
+    mapping = T._index.find(rans_rows[sub], "rans image")
     flags = {}
     flags["bijective"] = len(set(mapping.tolist())) == T.n == len(sub)
     qlat = quot.quantale.lattice

@@ -11,8 +11,7 @@ import numpy as np
 
 from finq.errors import ValidationFailed
 from finq.lattice import FiniteLattice, join_of, meet_of
-from finq.nuclei import RepresentationReport, _bitmasks, \
-    _intersection_closure
+from finq.nuclei import RepresentationReport
 
 
 def all_endofunctions(L):
@@ -282,6 +281,27 @@ def _disjoint_rows(a, b):
     entry; one packed-bit step per row of a."""
     pa, pb = np.packbits(a, axis=1), np.packbits(b, axis=1)
     return np.array([~(row & pb).any(axis=1) for row in pa])
+
+
+def _intersection_closure(seeds):
+    """The smallest set of int bitmasks that holds the seeds and is closed
+    under bitwise and (intersection of the sets they encode)."""
+    family = set(seeds)
+    frontier = list(family)
+    while frontier:
+        a = frontier.pop()
+        for b in list(family):
+            c = a & b
+            if c not in family:
+                family.add(c)
+                frontier.append(c)
+    return family
+
+
+def _bitmasks(rows):
+    """Each boolean row as an int whose bit u is the row's entry u."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def represent_bruteforce(Q, F):

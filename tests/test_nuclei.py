@@ -15,7 +15,15 @@ from finq.errors import (
     NotWeaklySymmetric,
     ValidationFailed,
 )
-from finq.lattice import EndoMap, chain, m_lattice, standard_lattice
+from finq.lattice import (
+    EndoMap,
+    FiniteLattice,
+    boolean,
+    chain,
+    m_lattice,
+    n5,
+    standard_lattice,
+)
 from finq.nuclei import (
     BinaryRelation,
     FiniteSemigroup,
@@ -350,6 +358,44 @@ def test_phase_quantale_left_zero_degenerate():
     assert list(F.lneg.image) == [1, 0]
 
 
+def _truncated_semigroup(n):
+    """{1..n} with x.y = min(x + y, n); index i stands for i + 1."""
+    ar = np.arange(n)
+    return FiniteSemigroup(n, np.minimum(ar[:, None] + ar + 1, n - 1))
+
+
+def _phase_cases():
+    """(S, R) with x R y iff x.y is outside D: Z_2..Z_9 with D = {0} and
+    {0, 1}; the left-zero semigroups on 1..3 elements and the truncated
+    semigroups {1..n}, x.y = min(x + y, n), n <= 5, with every nonempty D."""
+    for k in range(2, 10):
+        for D in ([0], [0, 1]):
+            yield cyclic_group(k), D
+    for S in [left_zero_semigroup(k) for k in (1, 2, 3)] + \
+            [_truncated_semigroup(n) for n in range(1, 6)]:
+        for size in range(1, S.n + 1):
+            for D in itertools.combinations(range(S.n), size):
+                yield S, list(D)
+
+
+def test_phase_closed_sets_are_the_intersection_closure():
+    """The closed sets of every accepted phase quotient are the
+    intersection closure of S and the r({x})."""
+    accepted = 0
+    for S, D in _phase_cases():
+        R = BinaryRelation(S.n, ~np.isin(S.op, D))
+        try:
+            quot, _ = phase_quantale(S, R)
+        except (NotAssociativeRelation, NotWeaklySymmetric):
+            continue
+        r = relation_galois(S, R).r
+        family = oracles._intersection_closure(
+            [int(r[0])] + [int(r[1 << x]) for x in range(S.n)])
+        assert quot.closed == tuple(sorted(family)), (S.op, D)
+        accepted += 1
+    assert accepted == 76
+
+
 def test_phase_quantale_rejections():
     S = cyclic_group(2)
     with pytest.raises(NotAssociativeRelation):
@@ -444,6 +490,27 @@ def test_represent_matches_set_level_oracle():
             failing.add(name)
             assert got["witnesses"], name
     assert failing and all("atoms" in name for name in failing)
+
+
+def test_meet_transport_fails_on_a_wrong_meet_table():
+    """A lattice whose meet table has one wrong entry, at one argument
+    order or at both, fails meet_transport; every other table is the
+    lattice's own, with an antitone involution on the trivial quantale."""
+    for L, inv in ((chain(3), [2, 1, 0]), (m_lattice(3), [4, 1, 2, 3, 0]),
+                   (n5(), [4, 1, 3, 2, 0]), (boolean(2), [3, 2, 1, 0])):
+        for x, y in itertools.product(range(L.n), repeat=2):
+            for v in range(L.n):
+                if v == L.meet_table[x, y]:
+                    continue
+                for cells in ([(x, y)], [(x, y), (y, x)]):
+                    mt = L.meet_table.copy()
+                    for a, b in cells:
+                        mt[a, b] = v
+                    bad = FiniteLattice(L.n, L.leq, L.join_table, mt,
+                                        L.bot, L.top)
+                    F = trivial_quantale(bad, duality=(inv, inv))
+                    rep = represent_frobenius(F.quantale, F)
+                    assert not rep.flags["meet_transport"], (L, cells, v)
 
 
 def test_structures_must_belong_to_the_quantale():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import oracles
 from finq.errors import (
+    InvariantViolated,
     NotMonotone,
     NotSupPreserving,
     NotTight,
@@ -32,6 +34,7 @@ from finq.quantale import (
     chu,
     find_unit,
 )
+import finq.raney
 from finq.raney import (
     _raney_inf_batch,
     _raney_sup_batch,
@@ -388,6 +391,35 @@ def test_bullet_chain3_units_correspond():
     assert qu is not None
     assert B.iso.mapping[qu] == tu == B.tight.index_of(
         identity_map(chain(3)))
+
+
+def test_bullet_quotient_product_is_rani_of_composed_rans():
+    """On the cotight quotient g *_j f = rani(rans(g) o rans(f)): a closed
+    q is rani(rans(q)) and the iso's mult flag transports the product."""
+    for L in (chain(3), m_lattice(3), n5()):
+        B = bullet_quantale(L)
+        cot = np.asarray([B.elements[q].image for q in B.quotient.closed])
+        rs = _raney_sup_batch(L, cot)
+        assert np.array_equal(_raney_inf_batch(L, rs[:, rs]),
+                              cot[B.quotient.quantale.mult])
+
+
+def test_bullet_quotient_defect_fails_the_iso(monkeypatch):
+    """A quotient with one wrong product entry is caught by the iso's
+    mult flag."""
+    serre_quotient = finq.raney._serre_quotient
+
+    def one_wrong_entry(Q, l, r):
+        nuc, quot, F = serre_quotient(Q, l, r)
+        mult = quot.quantale.mult.copy()
+        mult[0, 0] = (mult[0, 0] + 1) % quot.quantale.n
+        return nuc, dataclasses.replace(
+            quot, quantale=Quantale(quot.quantale.lattice, mult)), F
+
+    monkeypatch.setattr(finq.raney, "_serre_quotient", one_wrong_entry)
+    with pytest.raises(InvariantViolated) as exc:
+        bullet_quantale(m_lattice(3))
+    assert exc.value.witness == ["mult"]
 
 
 def free_unit(Q):
